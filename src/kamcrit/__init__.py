@@ -7,6 +7,8 @@ matched elliptic-point distance between the two symmetry-line families, and
 the Chirikov resonance-overlap estimate from measured island widths.
 """
 
+__version__ = "0.1.0"  # before the submodule imports, which read it
+
 from ._kernels import backend as kernel_backend, numba_available
 from .errors import (
     BracketingError,
@@ -97,5 +99,3 @@ from .scan import (
     parse_scan_config,
     run_scan,
 )
-
-__version__ = "0.1.0"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
+from . import __version__, _kernels
 from .criteria import chirikov_kcrit, chirikov_overlap, greene_kcrit, nch_kcrit
 from .errors import ConfigError, DomainError, KamcritError, UnsupportedParameterError
 from .mapcore import TWO_PI, wrap_angle, wrap_momentum
@@ -38,7 +38,6 @@ from .scan import (
 )
 from .stability import classify, monodromy
 
-VERSION = "0.1.0"
 
 
 def _parse_grid(spec: str):
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Periodic invariant sets of the standard map and "
                     "stochastic-transition criteria.",
     )
-    parser.add_argument("--version", action="version", version=f"kamcrit {VERSION}")
+    parser.add_argument("--version", action="version", version=f"kamcrit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_orbit_flags(p):

@@ -8,9 +8,11 @@ residual q_n - q_0 - 2*pi*m, polished by a 2D Newton on the full closure
 map, and carried across stochasticity values by natural-parameter
 continuation seeded from the integrable K = 0 circles p = 2*pi*m/n.
 
-The rational family is seeded on the first line family and keeps the
-elliptic branch; the alternate family is seeded on the second line family
-and keeps the branch distinct from the rational one.
+Each family's line is fixed by a parity rule of m/n.  The rational family
+takes q=0 for even n and q=pi otherwise, which carries the elliptic orbit.
+The alternate family takes q=p/2 when m or n is even and q=p/2+pi
+otherwise, which carries the hyperbolic partner.  The rule is pinned by
+tests at every Fibonacci order up to 610.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -317,7 +319,9 @@ def refine_multishoot(orbit: PeriodicOrbit, tol: float = 1e-12, max_iter: int = 
     are evaluated locally, so the attainable accuracy stays at machine
     precision even when the n-fold composition is strongly expanding and
     single shooting is noise-limited.  The dense cyclic block Jacobian is
-    small (2n x 2n for n <= a few hundred) and solved with pivoting.
+    small (2n x 2n for n <= a few hundred) and solved with pivoting.  An
+    orbit already within ``tol`` comes back with its measured defect as
+    ``closure_error``.
     """
     m, n, k = orbit.m, orbit.n, orbit.K
     x = np.array(orbit.points, dtype=float)
@@ -333,7 +337,7 @@ def refine_multishoot(orbit: PeriodicOrbit, tol: float = 1e-12, max_iter: int = 
     d = defects(x)
     err = float(np.abs(d).max())
     if err <= tol:
-        return orbit
+        return replace(orbit, closure_error=err)
     history = [err]
     for _ in range(max_iter):
         c = k * np.cos(x[:, 0])
@@ -614,36 +618,23 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float, dk_max: float = 0.05) -
 # family branches (rational / alternate) with caching
 # --------------------------------------------------------------------------
 
-def _orbits_set_equal(a: PeriodicOrbit, b: PeriodicOrbit, tol: float = 1e-7) -> bool:
-    """Do two orbits coincide as point sets on the torus?"""
-    if a.n != b.n:
-        return False
-    pa = a.torus_points()
-    pb = b.torus_points()
-    for qa, ppa in pa:
-        dq = np.abs(wrap_angle(pb[:, 0] - qa))
-        dp = np.abs(wrap_angle(pb[:, 1] - ppa))
-        if np.min(np.hypot(dq, dp)) > tol:
-            return False
-    return True
-
-
-def _orbit_residue(orbit: PeriodicOrbit) -> float:
-    m11, _, _, m22, _ = _kernels.monodromy_product(np.ascontiguousarray(orbit.points[:, 0]), orbit.K)
-    return (2.0 - (m11 + m22)) / 4.0
-
-
-_SELECT_LADDER = (0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95)
-_RESIDUE_RESOLVED = 1e-8
+def _rule_line(c: Convergent, family: str) -> str:
+    """Symmetry line that carries ``family``'s orbit of winding m/n."""
+    if family == FAMILY_RATIONAL:
+        return LINE_Q0 if c.n % 2 == 0 else LINE_QPI
+    return LINE_DIAG if c.m % 2 == 0 or c.n % 2 == 0 else LINE_DIAG_PI
 
 
 class OrbitBranch:
     """Continuation cache for one (convergent, family) orbit branch.
 
-    Resolves which symmetry line carries the branch (elliptic branch for the
-    rational family; the branch distinct from the rational orbit for the
-    alternate family), then serves orbits at arbitrary K by continuation
-    from the nearest cached stochasticity.
+    The symmetry line follows a parity rule unless ``line`` overrides it.
+    The rational family takes q=0 for even n and q=pi otherwise (n = 1
+    included), which is where its elliptic orbit sits.  The alternate
+    family takes q=p/2 when m or n is even and q=p/2+pi otherwise, which
+    carries the hyperbolic partner of that elliptic orbit.  Orbits at
+    arbitrary K are served by continuation from the nearest cached
+    stochasticity, starting from the K = 0 circle.
     """
 
     def __init__(self, convergent: Convergent, family: str = FAMILY_RATIONAL,
@@ -653,17 +644,9 @@ class OrbitBranch:
         self.convergent = convergent
         self.family = family
         self.dk_max = dk_max
-        self._forced_line = line
-        self._line: Optional[str] = line
+        self.line = line if line is not None else _rule_line(convergent, family)
         self._ks: List[float] = []
         self._orbits: List[PeriodicOrbit] = []
-        self._rational_ref: Optional[OrbitBranch] = None
-
-    @property
-    def line(self) -> str:
-        if self._line is None:
-            self._resolve_line()
-        return self._line
 
     def _cache_put(self, orbit: PeriodicOrbit) -> None:
         i = bisect.bisect_left(self._ks, orbit.K)
@@ -681,88 +664,13 @@ class OrbitBranch:
                     best = self._orbits[j]
         return best
 
-    def _seed_orbit(self, my_line: str) -> PeriodicOrbit:
-        return find_periodic_orbit(self.convergent, 0.0, my_line, family=self.family)
-
-    def _walk_line(self, my_line: str, ks: Sequence[float]) -> List[PeriodicOrbit]:
-        orb = self._seed_orbit(my_line)
-        out = [orb]
-        for k in ks:
-            orb = continue_in_K(orb, k, self.dk_max)
-            out.append(orb)
-        return out
-
-    def _resolve_line(self) -> None:
-        c = self.convergent
-        if c.n == 1:
-            # the elliptic fixed point is (pi, 0); its partner is (0, 0)
-            self._line = (LINE_QPI if self.family == FAMILY_RATIONAL else LINE_DIAG)
-            self._cache_put(_fixed_point_orbit(c, 0.0, self.family, self._line))
-            return
-
-        lines = RATIONAL_LINES if self.family == FAMILY_RATIONAL else ALTERNATE_LINES
-        if self.family == FAMILY_RATIONAL:
-            self._line = self._pick_elliptic_line(lines)
-        else:
-            self._line = self._pick_distinct_line(lines)
-
-    def _pick_elliptic_line(self, lines) -> str:
-        walked = {ln: [self._seed_orbit(ln)] for ln in lines}
-        for k in _SELECT_LADDER:
-            residues = {}
-            for ln in lines:
-                branch = walked[ln]
-                branch.append(continue_in_K(branch[-1], k, self.dk_max))
-                residues[ln] = _orbit_residue(branch[-1])
-            if _orbits_set_equal(walked[lines[0]][-1], walked[lines[1]][-1]):
-                # even order: both first-family lines carry the elliptic orbit
-                self._adopt(walked[lines[0]])
-                return lines[0]
-            if all(abs(r) >= _RESIDUE_RESOLVED for r in residues.values()):
-                elliptic = [ln for ln in lines if residues[ln] > 0.0]
-                if len(elliptic) == 1:
-                    self._adopt(walked[elliptic[0]])
-                    return elliptic[0]
-                break
-        # unresolved at the top of the ladder: fall back to the larger residue
-        ln = max(lines, key=lambda name: _orbit_residue(walked[name][-1]))
-        self._adopt(walked[ln])
-        return ln
-
-    def _pick_distinct_line(self, lines) -> str:
-        if self._rational_ref is None:
-            self._rational_ref = OrbitBranch(self.convergent, FAMILY_RATIONAL, self.dk_max)
-        k_ref = _SELECT_LADDER[0]
-        rational = self._rational_ref.orbit_at(k_ref)
-        walked = {ln: [self._seed_orbit(ln)] for ln in lines}
-        distinct = []
-        for ln in lines:
-            walked[ln].append(continue_in_K(walked[ln][-1], k_ref, self.dk_max))
-            if not _orbits_set_equal(walked[ln][-1], rational):
-                distinct.append(ln)
-        if not distinct:
-            raise OrbitNotFoundError(
-                f"no alternate-family orbit distinct from the rational one for {self.convergent}"
-            )
-        if len(distinct) == 2 and _orbits_set_equal(walked[distinct[0]][-1], walked[distinct[1]][-1]):
-            distinct = [lines[0]] if lines[0] in distinct else distinct[:1]
-        ln = distinct[0]
-        self._adopt(walked[ln])
-        return ln
-
-    def _adopt(self, orbits: Sequence[PeriodicOrbit]) -> None:
-        for orb in orbits:
-            self._cache_put(replace(orb, family=self.family))
-
     def orbit_at(self, k: float) -> PeriodicOrbit:
         """Orbit of this branch at stochasticity ``k`` (cached continuation)."""
         k = check_stochasticity(k)
-        if self._line is None:
-            self._resolve_line()
         if self.convergent.n == 1:
-            return _fixed_point_orbit(self.convergent, k, self.family, self._line)
+            return _fixed_point_orbit(self.convergent, k, self.family, self.line)
         if not self._ks:
-            self._cache_put(self._seed_orbit(self._line))
+            self._cache_put(find_periodic_orbit(self.convergent, 0.0, self.line, family=self.family))
         i = bisect.bisect_left(self._ks, k)
         if i < len(self._ks) and self._ks[i] == k:
             return self._orbits[i]
@@ -830,19 +738,22 @@ def winding_number(x0, k: float, iters: Optional[int] = None) -> float:
         iters = int(iters)
         if iters < 1:
             raise DomainError("iters must be >= 1")
-        qn, _ = _kernels.final_state(pt.q, pt.p, k, iters)
-        return (qn - pt.q) / (TWO_PI * iters)
-
-    block, budget = 10_000, 100_000
-    q, p = pt.q, pt.p
+    total = iters if iters is not None else 100_000
+    # the lift is carried as whole turns plus an angle reduced every 1000
+    # steps, so a step rounds at ulp(q) of a few thousand, not of the lift
+    turns, q, p = 0, pt.q, pt.p
     done = 0
     prev = None
-    est = 0.0
-    while done < budget:
-        q, p = _kernels.final_state(q, p, k, block)
-        done += block
-        est = (q - pt.q) / (TWO_PI * done)
-        if prev is not None and abs(est - prev) < 1e-10:
-            return est
-        prev = est
+    while done < total:
+        chunk = min(1000, total - done)
+        q, p = _kernels.final_state(q, p, k, chunk)
+        whole = math.floor(q / TWO_PI)
+        turns += whole
+        q -= whole * TWO_PI
+        done += chunk
+        est = (turns + (q - pt.q) / TWO_PI) / done
+        if iters is None and done % 10_000 == 0:
+            if prev is not None and abs(est - prev) < 1e-10:
+                return est
+            prev = est
     return est

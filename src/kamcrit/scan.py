@@ -15,9 +15,9 @@ Config files are flat key-value text, one ``key = value`` per line with
 Each (method, order/K) task is independent; failures are recorded per task
 in the manifest and never stop the remaining tasks.  Worker count comes
 from the KAMCRIT_THREADS environment variable (default 1), overridable per
-call.  Rows are sorted by key and written at 17 significant digits through
-a staging file and an atomic rename, so identical configs reproduce
-byte-identical CSV bodies.
+call, and is capped at the CPU count and the task count.  Rows are sorted
+by key and written at 17 significant digits through a staging file and an
+atomic rename, so identical configs reproduce byte-identical CSV bodies.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import __version__
 from .errors import ConfigError, KamcritError, MergeConflictError
 from .criteria import chirikov_overlap, nch_distance_curve
 from .orbits import Convergent, fibonacci_convergents
 from .stability import find_destabilization
 
-VERSION = "0.1.0"
 METHODS = ("greene", "nch", "chirikov")
 _KNOWN_TOLERANCES = ("k_star", "dk_max")
 
@@ -226,16 +226,16 @@ def _fmt(x: float) -> str:
 
 
 def worker_count(override: Optional[int] = None) -> int:
-    """Effective worker count: explicit override, else KAMCRIT_THREADS, else 1."""
-    if override is not None:
-        return max(1, int(override))
+    """Effective worker count: explicit override, else KAMCRIT_THREADS, else 1,
+    capped at ``os.cpu_count()`` (``run_scan`` also caps it at the task count)."""
+    requested = override
     env = os.environ.get("KAMCRIT_THREADS", "").strip()
-    if env:
+    if requested is None and env:
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError as err:
             raise ConfigError(f"KAMCRIT_THREADS must be an integer, got {env!r}") from err
-    return 1
+    return max(1, min(int(requested or 1), os.cpu_count() or 1))
 
 
 def _build_tasks(cfg: ScanConfig):
@@ -281,10 +281,10 @@ def run_scan(cfg: ScanConfig, threads: Optional[int] = None) -> RunManifest:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     tasks = _build_tasks(cfg)
-    workers = worker_count(threads)
+    workers = min(worker_count(threads), len(tasks))
 
     results = []
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
@@ -316,7 +316,7 @@ def run_scan(cfg: ScanConfig, threads: Optional[int] = None) -> RunManifest:
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     manifest = RunManifest(
         config=cfg.to_record(),
-        version=VERSION,
+        version=__version__,
         config_sha256=cfg.content_hash(),
         started=started,
         finished=finished,

@@ -158,6 +158,17 @@ def test_refine_multishoot_matches_newton():
     assert fixed.closure_error <= 1e-12
 
 
+def test_refine_multishoot_measures_closed_input():
+    # the period-2 orbit is exact at every K; wrapped as an unmeasured shell
+    # it must come back with its measured defect, not the shell's inf
+    shell = kc.PeriodicOrbit(points=np.array([[0.0, math.pi], [math.pi, math.pi]]),
+                             convergent=kc.Convergent(1, 2), K=0.7,
+                             family=kc.FAMILY_RATIONAL, line=kc.LINE_Q0, closure_error=math.inf)
+    fixed = refine_multishoot(shell)
+    np.testing.assert_array_equal(fixed.points, shell.points)
+    assert fixed.closure_error <= 1e-12
+
+
 # --- families -----------------------------------------------------------------
 
 def test_rational_iterates_small_depth():
@@ -249,6 +260,50 @@ def test_families_distinct_torus_positions():
         assert sep >= 1e-6
 
 
+# --- symmetry-line rule ---------------------------------------------------------
+
+# (m, n, rational line, alternate line) at every Fibonacci order up to 610:
+# rational q=0 for even n, else q=pi; alternate q=p/2 when m or n is even,
+# else q=p/2+pi.  Every row matches the residue-sign line selection this
+# rule replaced.
+_LINE_RULE = [
+    (0, 1, kc.LINE_QPI, kc.LINE_DIAG),
+    (1, 2, kc.LINE_Q0, kc.LINE_DIAG),
+    (2, 3, kc.LINE_QPI, kc.LINE_DIAG),
+    (3, 5, kc.LINE_QPI, kc.LINE_DIAG_PI),
+    (5, 8, kc.LINE_Q0, kc.LINE_DIAG),
+    (8, 13, kc.LINE_QPI, kc.LINE_DIAG),
+    (13, 21, kc.LINE_QPI, kc.LINE_DIAG_PI),
+    (21, 34, kc.LINE_Q0, kc.LINE_DIAG),
+    (34, 55, kc.LINE_QPI, kc.LINE_DIAG),
+    (55, 89, kc.LINE_QPI, kc.LINE_DIAG_PI),
+    (89, 144, kc.LINE_Q0, kc.LINE_DIAG),
+    (144, 233, kc.LINE_QPI, kc.LINE_DIAG),
+    (233, 377, kc.LINE_QPI, kc.LINE_DIAG_PI),
+    (377, 610, kc.LINE_Q0, kc.LINE_DIAG),
+]
+
+
+@pytest.mark.parametrize("m, n, rational_line, alternate_line", _LINE_RULE,
+                         ids=[f"{m}/{n}" for m, n, _, _ in _LINE_RULE])
+def test_symmetry_line_rule(m, n, rational_line, alternate_line):
+    c = kc.Convergent(m, n)
+    k = 0.97  # below every K*(n) up to n = 987
+    rational = kc.OrbitBranch(c, kc.FAMILY_RATIONAL)
+    alternate = kc.OrbitBranch(c, kc.FAMILY_ALTERNATE)
+    assert (rational.line, alternate.line) == (rational_line, alternate_line)
+
+    i = rational.orbit_at(k)
+    assert 0.0 < kc.residue(kc.monodromy(i)) < 1.0
+    if n % 2:
+        # odd orders put the hyperbolic partner on the other first-family line
+        other = next(ln for ln in kc.RATIONAL_LINES if ln != rational_line)
+        h = kc.OrbitBranch(c, kc.FAMILY_RATIONAL, line=other).orbit_at(k)
+        assert kc.residue(kc.monodromy(h)) < 0.0
+    y = alternate.orbit_at(k)
+    assert min(d for _, _, d in kc.match_elliptic_points(i, y)) > 0.0
+
+
 # --- continuation ---------------------------------------------------------------
 
 def test_continue_period2_k_independent():
@@ -293,6 +348,14 @@ def test_winding_exactness_multiple_periods():
     for loops in (1, 3):
         w = kc.winding_number(tuple(o.points[0]), 0.7, o.n * loops)
         assert abs(w - 0.6) <= 1e-12
+
+
+def test_winding_long_run_on_deep_elliptic_orbit():
+    # the lift grows to ~3.5e5 turns' worth of angle here; carried whole,
+    # every step would round at ulp(q) ~ 6e-11
+    o = kc.rational_orbit(kc.Convergent(55, 89), 0.8)
+    w = kc.winding_number(tuple(o.points[0]), 0.8, 89_000)
+    assert abs(w - 55 / 89) <= 1e-11
 
 
 # --- serialization ---------------------------------------------------------------

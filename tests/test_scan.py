@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from kamcrit import scan
 from kamcrit.errors import ConfigError, MergeConflictError
 from kamcrit.scan import merge_results, parse_scan_config, run_scan, worker_count
 
@@ -61,12 +63,43 @@ def test_validation_rules(tmp_path):
         parse_scan_config(_cfg_text(tmp_path / "o", methods="nch", grid="0.5,0.7,0.9"))
 
 
-def test_worker_count_env(monkeypatch):
+def test_worker_count_env(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delenv("KAMCRIT_THREADS", raising=False)
     assert worker_count() == 1
     monkeypatch.setenv("KAMCRIT_THREADS", "3")
     assert worker_count() == 3
     assert worker_count(2) == 2
+    # capped at the CPU count, and by run_scan at the task count
+    monkeypatch.setenv("KAMCRIT_THREADS", "4096")
+    assert worker_count() == 8
+    assert worker_count(100) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    pools = []
+
+    class InlinePool:
+        """Records the requested pool size and maps in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", InlinePool)
+    manifest = run_scan(parse_scan_config(_cfg_text(tmp_path / "run", depth=2)))
+    assert manifest.ok == 2
+    assert pools == [2]
+
     monkeypatch.setenv("KAMCRIT_THREADS", "zebra")
     with pytest.raises(ConfigError):
         worker_count()

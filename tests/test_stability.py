@@ -143,3 +143,11 @@ def test_find_destabilization_walk():
 def test_destabilization_monotone_small_orders():
     ks = [find_destabilization(c)[0] for c in kc.fibonacci_convergents(4)]
     assert all(b <= a + 1e-9 for a, b in zip(ks, ks[1:]))
+
+
+def test_destabilization_order_987():
+    # residues at this order stay below 1e-8 on most of the K range, so the
+    # line must come from the parity rule, not from residue signs
+    k_star, info = kc.find_destabilization(kc.Convergent(610, 987))
+    assert 0.9725 <= k_star <= 0.9735
+    assert info["line"] == kc.LINE_QPI
