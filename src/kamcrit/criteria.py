@@ -171,11 +171,17 @@ def greene_kcrit(
     """Destabilization thresholds K*(n) over the convergent family, extrapolated.
 
     ``convergents`` overrides the default Fibonacci list (e.g. a single
-    ``Convergent(0, 1)`` reproduces the fixed-point threshold 4).  Orders
-    that fail to bracket or continue are recorded in the diagnostics and the
-    extrapolation uses the available tail.
+    ``Convergent(0, 1)`` reproduces the fixed-point threshold 4).  The
+    arguments are checked up front (:class:`DomainError`); after that, an
+    order that fails numerically (no bracket, a stalled continuation, an
+    orbit whose closure the monodromy refuses) is recorded in
+    ``diagnostics["failures"]`` and the extrapolation uses the available tail.
     """
     cs = list(convergents) if convergents is not None else fibonacci_convergents(depth)
+    check_stochasticity(k_start)
+    for name, value in (("k_step", k_step), ("k_max", k_max), ("tol_k", tol_k)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
     per_n: List[Tuple[int, float]] = []
     failures = []
     brackets = {}
@@ -184,7 +190,8 @@ def greene_kcrit(
             k_star, info = find_destabilization(
                 c, FAMILY_RATIONAL, None, k_start=k_start, k_step=k_step, k_max=k_max, tol_k=tol_k
             )
-        except (BracketingError, OrbitNotFoundError, RefinementError, ContinuationError) as err:
+        except (BracketingError, OrbitNotFoundError, RefinementError, ContinuationError,
+                DomainError) as err:
             failures.append({"n": c.n, "error": str(err)})
             continue
         per_n.append((c.n, k_star))

@@ -1,12 +1,22 @@
 """Periodic invariant sets of the standard map.
 
-Orbits are located on the reversor symmetry lines: the map factors into two
-involutions whose fixed sets are {q = 0} u {q = pi} (first family) and
-{q = p/2} u {q = p/2 + pi} (second family).  A periodic point on a line is
-found by a 1D root search in the line parameter on the lifted closure
-residual q_n - q_0 - 2*pi*m, polished by a 2D Newton on the full closure
-map, and carried across stochasticity values by natural-parameter
-continuation seeded from the integrable K = 0 circles p = 2*pi*m/n.
+An (m, n) orbit is a lifted angle sequence q_0 ... q_{n-1} solving the
+periodic discrete Euler-Lagrange equations
+
+    E_i = q_{i+1} - 2 q_i + q_{i-1} - K sin q_i = 0,    q_{i+n} = q_i + 2 pi m,
+
+with phase points (q_i, q_i - q_{i-1}).  The Jacobian of E is tridiagonal
+(diagonal -2 - K cos q_i, off-diagonals 1, cyclic corners), so one Newton
+step costs O(n) (MacKay & Meiss 1983, Phys. Lett. A 98, 92).
+
+Orbits sit on the reversor symmetry lines {q = 0} u {q = pi} and
+{q = p/2} u {q = p/2 + pi}.  A branch is carried across stochasticity values
+by natural-parameter continuation from the integrable K = 0 circle
+p = 2 pi m/n, each step one Newton solve on the symmetric half of the orbit:
+the mirror image of the unknowns fixes the other half and pins the point on
+the line, which removes the near-null translation mode of the cyclic
+Jacobian (its determinant is -4R, tiny for deep orders).  The 1D line search
+of :func:`find_periodic_orbit` remains for locating orbits without a branch.
 
 Each family's line is fixed by a parity rule of m/n.  The rational family
 takes q=0 for even n and q=pi otherwise, which carries the elliptic orbit.
@@ -58,7 +68,8 @@ ALL_LINES = RATIONAL_LINES + ALTERNATE_LINES
 FAMILY_RATIONAL = "rational"
 FAMILY_ALTERNATE = "alternate(1)"
 
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_BRENTQ_RTOL = 4.0 * _EPS
 _SCAN_SAMPLES = 2048
 
 
@@ -132,13 +143,13 @@ class PeriodicOrbit:
     """An n-point periodic invariant set with winding m/n at stochasticity K.
 
     ``points`` holds the n consecutive lifted images, row 0 being the
-    symmetry-line representative.  ``closure_error`` bounds the orbit's
-    defect chain in max norm: every step defect T(x_i) - x_{i+1} plus the
-    wrapping defect T(x_{n-1}) - x_0 - (2*pi*m, 0).  For orbits whose points
-    are literal iterates of the seed (the usual case) this equals the lifted
-    closure |T^n(x_0) - x_0 - (2*pi*m, 0)| exactly; strongly unstable orbits
-    polished by multiple shooting satisfy the same per-step bound even where
-    the n-fold composition amplifies double-precision noise past it.
+    symmetry-line representative.  ``closure_error`` is the measured defect
+    chain in max norm: every step defect T(x_i) - x_{i+1} plus the wrapping
+    defect T(x_{n-1}) - x_0 - (2*pi*m, 0).  For points that are literal
+    iterates of row 0 this is the lifted closure |T^n(x_0) - x_0 - (2*pi*m, 0)|;
+    for orbits solved as angle sequences it stays at the rounding level of
+    the lift even where the n-fold composition amplifies double-precision
+    noise far past it.
     """
 
     points: np.ndarray
@@ -237,172 +248,171 @@ def _line_residual(line: str, p: float, m: int, n: int, k: float) -> float:
 
 
 def _line_residual_batch(line: str, ps: np.ndarray, m: int, n: int, k: float) -> np.ndarray:
-    if line == LINE_Q0:
-        qs = np.zeros_like(ps)
-    elif line == LINE_QPI:
-        qs = np.full_like(ps, math.pi)
-    elif line == LINE_DIAG:
-        qs = 0.5 * ps
-    elif line == LINE_DIAG_PI:
-        qs = 0.5 * ps + math.pi
-    else:
-        raise DomainError(f"unknown symmetry line {line!r}")
-    qn, _ = _kernels.batch_final_state(qs, np.array(ps, dtype=float), k, n)
+    qs = np.zeros_like(ps) + line_seed(line, ps)[0]
+    qn, _ = _kernels.batch_final_state(qs, ps, k, n)
     return qn - qs - TWO_PI * m
 
 
 # --------------------------------------------------------------------------
-# Newton polish
+# Euler-Lagrange Newton
 # --------------------------------------------------------------------------
 
-def refine_newton(orbit: PeriodicOrbit, tol: float = 1e-11, max_iter: int = 30) -> PeriodicOrbit:
-    """2D Newton on the lifted closure map, using the monodromy Jacobian.
+def _step_defect(points: np.ndarray, m: int, k: float) -> float:
+    """Max-norm defect of T(x_i) - x_{i+1}, the last step wrapping to x_0 + (2*pi*m, 0)."""
+    q, p = points[:, 0], points[:, 1]
+    p1 = p + k * np.sin(q)
+    dq = np.append(q[1:], q[0] + TWO_PI * m) - (q + p1)
+    dp = np.append(p[1:], p[0]) - p1
+    return float(max(np.abs(dq).max(), np.abs(dp).max()))
 
-    Returns the orbit unchanged when its closure already meets ``tol``
-    (zero Newton steps).  Raises :class:`RefinementError` on a singular
-    Jacobian (near-parabolic orbit) or when damping cannot reduce the
-    residual within ``max_iter`` iterations.
+
+def _el_residual(q: np.ndarray, m: int, k: float) -> np.ndarray:
+    """E_i = q_{i+1} - 2 q_i + q_{i-1} - K sin q_i with q_{i+n} = q_i + 2*pi*m."""
+    wrap = TWO_PI * m
+    return np.append(q[1:], q[0] + wrap) - 2.0 * q + np.append(q[-1] - wrap, q[:-1]) - k * np.sin(q)
+
+
+def _thomas(diag: List[float], rhs: List[float]) -> List[float]:
+    """Solve a tridiagonal system with unit off-diagonals (Thomas algorithm,
+    no pivoting: an exactly zero pivot raises ZeroDivisionError)."""
+    n = len(diag)
+    cp = [1.0 / diag[0]] + [0.0] * (n - 1)
+    x = [rhs[0] * cp[0]] + [0.0] * (n - 1)
+    for i in range(1, n):
+        cp[i] = 1.0 / (diag[i] - cp[i - 1])
+        x[i] = (rhs[i] - x[i - 1]) * cp[i]
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return x
+
+
+def _cyclic_thomas(diag: List[float], rhs: List[float]) -> List[float]:
+    """Solve the cyclic tridiagonal system with unit off-diagonals and corners:
+    Thomas with the corners folded into the diagonal, plus a Sherman-Morrison
+    correction.  For n <= 2 the neighbours coincide and the system is solved
+    directly."""
+    n = len(diag)
+    if n == 1:
+        return [rhs[0] / (diag[0] + 2.0)]
+    if n == 2:
+        det = diag[0] * diag[1] - 4.0
+        return [(diag[1] * rhs[0] - 2.0 * rhs[1]) / det, (diag[0] * rhs[1] - 2.0 * rhs[0]) / det]
+    gamma = -diag[0]
+    folded = [diag[0] - gamma] + diag[1:-1] + [diag[-1] - 1.0 / gamma]
+    y = _thomas(folded, rhs)
+    z = _thomas(folded, [gamma] + [0.0] * (n - 2) + [1.0])
+    f = (y[0] + y[-1] / gamma) / (1.0 + z[0] + z[-1] / gamma)
+    return [yi - f * zi for yi, zi in zip(y, z)]
+
+
+def _newton(x: np.ndarray, assemble, solve, tol: float, max_iter: int, what: str) -> np.ndarray:
+    """Newton on the Euler-Lagrange residual; returns the full angle sequence.
+
+    ``assemble(x)`` gives (all n angles, residual on the unknowns, Jacobian
+    diagonal).  Converged means max|E| <= max(tol, 16*eps*max|q|): deep
+    orders lift q to ~1e4, where one ulp of q already exceeds 1e-12.
     """
-    m, n, k = orbit.m, orbit.n, orbit.K
-    q0, p0 = float(orbit.points[0, 0]), float(orbit.points[0, 1])
-    rq, rp = closure_residual(q0, p0, m, n, k)
-    norm = max(abs(rq), abs(rp))
-    if norm <= tol:
-        return orbit
-
-    history = [((q0, p0), norm)]
+    history = []
     for _ in range(max_iter):
-        traj = _kernels.trajectory(q0, p0, k, n)
-        m11, m12, m21, m22, _ = _kernels.monodromy_product(np.ascontiguousarray(traj[:-1, 0]), k)
-        j11, j12, j21, j22 = m11 - 1.0, m12, m21, m22 - 1.0
-        det = j11 * j22 - j12 * j21
-        scale = max(abs(j11), abs(j12), abs(j21), abs(j22), 1.0)
-        if abs(det) < 1e-14 * scale * scale:
-            raise RefinementError(
-                f"singular closure Jacobian for {orbit.convergent} at K={k:g} (near-parabolic orbit)",
-                history=history,
-            )
-        dq = (-j22 * rq + j12 * rp) / det
-        dp = (j21 * rq - j11 * rp) / det
-        lam = 1.0
-        accepted = False
-        for _ in range(12):
-            q_try = q0 + lam * dq
-            p_try = p0 + lam * dp
-            rq_t, rp_t = closure_residual(q_try, p_try, m, n, k)
-            norm_t = max(abs(rq_t), abs(rp_t))
-            if norm_t < norm:
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            raise RefinementError(
-                f"Newton polish stalled for {orbit.convergent} at K={k:g}",
-                history=history,
-            )
-        q0, p0, rq, rp, norm = q_try, p_try, rq_t, rp_t, norm_t
-        history.append(((q0, p0), norm))
-        if norm <= tol:
-            return _orbit_from_seed(q0, p0, orbit.convergent, k, orbit.family, orbit.line)
+        q, e, diag = assemble(x)
+        err = float(np.abs(e).max()) if e.size else 0.0
+        history.append(err)
+        if err <= max(tol, 16.0 * _EPS * float(np.abs(q).max())):
+            return q.copy()
+        try:
+            x = x - np.array(solve(diag.tolist(), e.tolist()))
+        except ZeroDivisionError as exc:
+            raise RefinementError(f"singular Euler-Lagrange Jacobian for {what}", history=history) from exc
+    raise RefinementError(f"Euler-Lagrange Newton did not converge for {what}", history=history)
 
-    raise RefinementError(
-        f"Newton polish did not converge in {max_iter} iterations for {orbit.convergent} at K={k:g}",
-        history=history,
-    )
+
+def _orbit_from_angles(q: np.ndarray, like: PeriodicOrbit, k: float) -> PeriodicOrbit:
+    """Orbit with points (q_i, q_i - q_{i-1}) and its measured closure."""
+    p = np.diff(q, prepend=q[-1] - TWO_PI * like.m)
+    points = np.column_stack([q, p])
+    return replace(like, points=points, K=k, closure_error=_step_defect(points, like.m, k))
 
 
 def refine_multishoot(orbit: PeriodicOrbit, tol: float = 1e-12, max_iter: int = 40) -> PeriodicOrbit:
-    """Newton on the full n-point defect chain (multiple shooting).
+    """Newton on the full periodic Euler-Lagrange system in the angles alone.
 
-    Solves T(x_i) = x_{i+1} for all i (the last step wrapping to
-    x_0 + (2*pi*m, 0)) as one 2n-dimensional system.  The per-step defects
-    are evaluated locally, so the attainable accuracy stays at machine
-    precision even when the n-fold composition is strongly expanding and
-    single shooting is noise-limited.  The dense cyclic block Jacobian is
-    small (2n x 2n for n <= a few hundred) and solved with pivoting.  An
-    orbit already within ``tol`` comes back with its measured defect as
-    ``closure_error``.
+    All n angles of ``orbit.points`` are unknowns and the momenta are rebuilt
+    as q_i - q_{i-1}.  Each step solves the cyclic tridiagonal Jacobian in
+    O(n) (Thomas plus Sherman-Morrison).  The defects are local, so the
+    accuracy stays at machine precision however strongly the n-fold
+    composition expands; but with no symmetry imposed the Jacobian nears
+    singularity with the residue (det = -4R), so symmetric orbits are solved
+    on their half instead.  An orbit already within ``tol`` comes back with
+    its measured defect as ``closure_error``.
     """
-    m, n, k = orbit.m, orbit.n, orbit.K
-    x = np.array(orbit.points, dtype=float)
-    wrap = np.array([TWO_PI * m, 0.0])
-
-    def defects(pts):
-        q, p = pts[:, 0], pts[:, 1]
-        p1 = p + k * np.sin(q)
-        q1 = q + p1
-        target = np.vstack([pts[1:], pts[0] + wrap])
-        return np.column_stack([q1, p1]) - target
-
-    d = defects(x)
-    err = float(np.abs(d).max())
+    m, k = orbit.m, orbit.K
+    err = _step_defect(orbit.points, m, k)
     if err <= tol:
         return replace(orbit, closure_error=err)
-    history = [err]
-    for _ in range(max_iter):
-        c = k * np.cos(x[:, 0])
-        jac = np.zeros((2 * n, 2 * n))
-        for i in range(n):
-            r = 2 * i
-            jac[r, r] = 1.0 + c[i]
-            jac[r, r + 1] = 1.0
-            jac[r + 1, r] = c[i]
-            jac[r + 1, r + 1] = 1.0
-            col = 2 * ((i + 1) % n)
-            jac[r, col] -= 1.0
-            jac[r + 1, col + 1] -= 1.0
-        try:
-            delta = np.linalg.solve(jac, -d.reshape(-1)).reshape(n, 2)
-        except np.linalg.LinAlgError as exc:
-            raise RefinementError(
-                f"singular multiple-shooting Jacobian for {orbit.convergent} at K={k:g}",
-                history=history,
-            ) from exc
-        lam = 1.0
-        accepted = False
-        for _ in range(10):
-            x_try = x + lam * delta
-            d_try = defects(x_try)
-            err_try = float(np.abs(d_try).max())
-            if err_try < err:
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            raise RefinementError(
-                f"multiple shooting stalled for {orbit.convergent} at K={k:g}",
-                history=history,
-            )
-        x, d, err = x_try, d_try, err_try
-        history.append(err)
-        if err <= tol:
-            return PeriodicOrbit(
-                points=x,
-                convergent=orbit.convergent,
-                K=k,
-                family=orbit.family,
-                line=orbit.line,
-                closure_error=err,
-            )
-    raise RefinementError(
-        f"multiple shooting did not converge in {max_iter} iterations for "
-        f"{orbit.convergent} at K={k:g}",
-        history=history,
-    )
+
+    def assemble(q):
+        return q, _el_residual(q, m, k), -2.0 - k * np.cos(q)
+
+    q0 = np.array(orbit.points[:, 0], dtype=float)
+    q = _newton(q0, assemble, _cyclic_thomas, tol, max_iter, f"{orbit.convergent} at K={k:g}")
+    return _orbit_from_angles(q, orbit, k)
 
 
-def _polish_candidate(orbit: PeriodicOrbit, tol: float = 1e-11) -> Optional[PeriodicOrbit]:
-    """Refine a search candidate, tolerating a singular Jacobian when the
-    line root already closes well (near-parabolic small-K orbits)."""
-    try:
-        return refine_newton(orbit, tol=tol)
-    except RefinementError:
-        if orbit.closure_error <= 1e-9:
-            return orbit
-        try:
-            return refine_multishoot(orbit)
-        except RefinementError:
-            return None
+def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_iter: int = 12) -> PeriodicOrbit:
+    """Newton on the symmetric half of ``guess``'s orbit at stochasticity ``k``.
+
+    On q=c (c = 0 or pi), q_0 = c and q_{n-i} = 2c + 2*pi*m - q_i: the
+    unknowns are q_1 ... q_{(n-1)//2}; an even n pins q_{n/2} = c + pi*m, an
+    odd n mirrors the last unknown's right neighbour (diagonal -1).  On
+    q=p/2+c, q_{n-1-i} = 2c + 2*pi*m - q_i: the unknowns are
+    q_0 ... q_{n//2-1}, q_{-1} = 2c - q_0 mirrors into the first diagonal, an
+    odd n pins q_{(n-1)/2} = c + pi*m, and an even n mirrors the last one.
+    """
+    line, m, n = guess.line, guess.m, guess.n
+    c = 0.0 if line in (LINE_Q0, LINE_DIAG) else math.pi
+    on_q = line in RATIONAL_LINES
+    first = 1 if on_q else 0
+    h = (n - 1) // 2 if on_q else n // 2
+    pinned = (n % 2 == 0) == on_q
+    q = np.empty(n)
+    q[0] = c
+    if pinned:
+        q[first + h] = c + math.pi * m
+    fold = np.zeros(h)
+    if h and not on_q:
+        fold[0] -= 1.0
+    if h and not pinned:
+        fold[-1] -= 1.0
+
+    def assemble(x):
+        q[first:first + h] = x
+        q[n - h:] = (2.0 * c + TWO_PI * m - x)[::-1]
+        return q, _el_residual(q, m, k)[first:first + h], -2.0 - k * np.cos(x) + fold
+
+    x0 = np.array(guess.points[first:first + h, 0], dtype=float)
+    q = _newton(x0, assemble, _thomas, tol, max_iter, f"{guess.convergent} on {line} at K={k:g}")
+    return _orbit_from_angles(q, guess, k)
+
+
+def _solve_near(prev: PeriodicOrbit, k: float, tol: float = 1e-12, max_iter: int = 12) -> PeriodicOrbit:
+    """Re-solve ``prev``'s orbit at stochasticity ``k``, starting Newton from its angles."""
+    if prev.line == LINE_NONE:
+        return refine_multishoot(replace(prev, K=k), tol, max_iter)
+    return _solve_symmetric(prev, k, tol, max_iter)
+
+
+def refine_newton(orbit: PeriodicOrbit, tol: float = 1e-11, max_iter: int = 30) -> PeriodicOrbit:
+    """Polish an orbit by Newton on the Euler-Lagrange equations.
+
+    Returns the orbit unchanged when its closure already meets ``tol``.
+    Orbits on a symmetry line are solved on their symmetric half, others
+    (``LINE_NONE``) on the full cyclic system of :func:`refine_multishoot`.
+    Raises :class:`RefinementError` on a singular Jacobian or when Newton
+    does not converge within ``max_iter`` iterations.
+    """
+    if _step_defect(orbit.points, orbit.m, orbit.K) <= tol:
+        return orbit
+    return _solve_near(orbit, orbit.K, tol, max_iter)
 
 
 # --------------------------------------------------------------------------
@@ -426,11 +436,6 @@ def _brackets_from_samples(ps: np.ndarray, gs: np.ndarray) -> List[Tuple[float, 
     return out
 
 
-def _on_line_error(line: str, q0: float, p0: float) -> float:
-    q_line, _ = line_seed(line, p0)
-    return abs(float(wrap_angle(q0 - q_line)))
-
-
 def find_periodic_orbit(
     c: Convergent,
     k: float,
@@ -443,10 +448,11 @@ def find_periodic_orbit(
     """Locate the (m, n) periodic orbit whose representative sits on ``line``.
 
     A 1D bracketed root search in the line parameter p drives the lifted
-    q-closure to zero; the 2D Newton polish then certifies the full closure.
-    Without ``p_center``/``p_halfwidth`` the whole fundamental interval
-    [0, 2*pi) is scanned at ``scan_samples`` resolution; continuation passes
-    a window around the previous root instead.
+    q-closure to zero; each root that closes to 1e-6 is then polished by the
+    symmetric-half Newton that :func:`continue_in_K` steps with.  Without
+    ``p_center``/``p_halfwidth`` the whole fundamental interval [0, 2*pi) is
+    scanned at ``scan_samples`` resolution; with them, a window around
+    ``p_center`` that widens until the closure changes sign.
     """
     k = check_stochasticity(k)
     if line not in ALL_LINES:
@@ -505,10 +511,9 @@ def find_periodic_orbit(
         cand = _orbit_from_seed(q0, p0, c, k, family, line)
         if cand.closure_error > 1e-6:
             continue  # q-closure-only root; not a periodic point
-        polished = _polish_candidate(cand)
-        if polished is None:
-            continue
-        if _on_line_error(line, polished.points[0, 0], polished.points[0, 1]) > 1e-6:
+        try:
+            polished = _solve_symmetric(cand, k)
+        except RefinementError:
             continue
         if any(abs(polished.points[0, 1] - prev.points[0, 1]) < 1e-9 for prev in candidates):
             continue
@@ -528,60 +533,16 @@ def find_periodic_orbit(
 # continuation
 # --------------------------------------------------------------------------
 
-def _multishoot_from(prev: PeriodicOrbit, k_next: float) -> PeriodicOrbit:
-    shell = PeriodicOrbit(
-        points=np.array(prev.points, dtype=float),
-        convergent=prev.convergent,
-        K=k_next,
-        family=prev.family,
-        line=prev.line,
-        closure_error=math.inf,
-    )
-    return refine_multishoot(shell)
-
-
-def _trace_magnitude(orbit: PeriodicOrbit) -> float:
-    m11, _, _, m22, _ = _kernels.monodromy_product(np.ascontiguousarray(orbit.points[:, 0]), orbit.K)
-    return abs(m11 + m22)
-
-
-# past this trace magnitude the n-fold composition amplifies rounding noise
-# beyond the line search's closure certificate; switch to multiple shooting
-_STRONG_TRACE = 200.0
-
-
-def _solve_near(prev: PeriodicOrbit, k_next: float) -> PeriodicOrbit:
-    """Re-solve ``prev``'s orbit at a nearby K, anchored at the previous root."""
-    if prev.line == LINE_NONE:
-        moved = _orbit_from_seed(prev.points[0, 0], prev.points[0, 1], prev.convergent, k_next, prev.family, prev.line)
-        try:
-            return refine_newton(moved)
-        except RefinementError:
-            return _multishoot_from(prev, k_next)
-    if prev.n > 1 and _trace_magnitude(prev) > _STRONG_TRACE:
-        return _multishoot_from(prev, k_next)
-    p_prev = float(prev.points[0, 1])
-    dk = abs(k_next - prev.K)
-    try:
-        return find_periodic_orbit(
-            prev.convergent,
-            k_next,
-            prev.line,
-            p_center=p_prev,
-            p_halfwidth=max(1e-5, 0.25 * dk),
-            family=prev.family,
-        )
-    except OrbitNotFoundError:
-        return _multishoot_from(prev, k_next)
-
-
 def continue_in_K(orbit: PeriodicOrbit, k_target: float, dk_max: float = 0.05) -> PeriodicOrbit:
     """Natural-parameter continuation of an orbit to ``k_target``.
 
-    The step adapts: it halves whenever the local re-solve fails and stops
-    with :class:`ContinuationError` (reporting the last good K) at the floor
-    1e-6, which signals an orbit collision or bifurcation.  Family and line
-    tags are preserved.
+    Each step is one Newton solve of the Euler-Lagrange equations at the
+    next K, started from the current angles: on the orbit's symmetric half
+    for the four symmetry lines, on the full cyclic system for
+    ``LINE_NONE``.  The step adapts: it halves whenever Newton fails and
+    stops with :class:`ContinuationError` (reporting the last good K) at the
+    floor 1e-6, which signals an orbit collision or bifurcation.  Family and
+    line tags are preserved.
     """
     k_target = check_stochasticity(k_target)
     if dk_max <= 0.0:
@@ -600,7 +561,7 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float, dk_max: float = 0.05) -
             k_next = k_target
         try:
             nxt = _solve_near(current, k_next)
-        except (OrbitNotFoundError, RefinementError):
+        except RefinementError:
             dk *= 0.5
             if dk < 1e-6:
                 raise ContinuationError(

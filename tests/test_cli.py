@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kamcrit import OrbitBranch
 from kamcrit.cli import main
 
 TWO_PI = 2 * math.pi
@@ -82,6 +84,26 @@ def test_kcrit_greene_depth1_degenerate(tmp_path, capsys):
 
 def test_kcrit_greene_depth0_usage_error(capsys):
     assert main(["kcrit-greene", "--depth", "0"]) == 2
+
+
+def test_kcrit_greene_bad_tolerance_usage_error(capsys):
+    assert main(["kcrit-greene", "--depth", "2", "--tol-k", "0"]) == 2
+
+
+def test_kcrit_greene_closure_refusals_are_numeric_failures(monkeypatch, capsys):
+    # every order's orbit is refused by the monodromy, so no threshold remains
+    real = OrbitBranch.orbit_at
+    monkeypatch.setattr(OrbitBranch, "orbit_at",
+                        lambda self, k: replace(real(self, k), closure_error=1e-6))
+    assert main(["kcrit-greene", "--depth", "2"]) == 1
+    assert "no destabilization threshold" in capsys.readouterr().err
+
+
+def test_kcrit_greene_depth15(capsys):
+    assert main(["kcrit-greene", "--depth", "15"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert sum(ln.startswith("n=") for ln in lines) == 15
+    assert abs(float(_kv(lines[-1])["K_crit"]) - 0.971635406) <= 1e-5
 
 
 def test_kcrit_nch_failure_leaves_no_partial_file(tmp_path, capsys):

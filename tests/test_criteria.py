@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,6 +184,28 @@ def test_greene_partial_failures_recorded():
     assert [n for n, _ in res.per_n] == [2]
     assert abs(res.k_crit - 2.0) <= 1e-5
     assert res.diagnostics["failures"][0]["n"] == 1
+
+
+def test_greene_records_closure_refusal(monkeypatch):
+    # an orbit the monodromy refuses (closure 1e-6 > 1e-9) fails its order,
+    # not the whole estimate
+    real = kc.OrbitBranch.orbit_at
+
+    def loose(self, k):
+        orbit = real(self, k)
+        return replace(orbit, closure_error=1e-6) if self.convergent.n == 3 else orbit
+
+    monkeypatch.setattr(kc.OrbitBranch, "orbit_at", loose)
+    res = kc.greene_kcrit(depth=5)
+    assert [n for n, _ in res.per_n] == [2, 5, 8, 13]
+    [failure] = res.diagnostics["failures"]
+    assert failure["n"] == 3 and "closure" in failure["error"]
+
+
+def test_greene_argument_errors_stay_usage_errors():
+    for kwargs in ({"tol_k": 0.0}, {"k_step": -0.25}, {"k_start": -1.0}, {"k_max": math.nan}):
+        with pytest.raises(DomainError):
+            kc.greene_kcrit(depth=2, **kwargs)
 
 
 def test_greene_result_serializes():

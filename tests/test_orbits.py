@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +168,53 @@ def test_refine_multishoot_measures_closed_input():
     fixed = refine_multishoot(shell)
     np.testing.assert_array_equal(fixed.points, shell.points)
     assert fixed.closure_error <= 1e-12
+
+
+def test_refine_multishoot_recovers_deep_orbit():
+    # 1e-6 noise on every coordinate of the 377-point orbit; at R ~ 0.13 the
+    # cyclic Jacobian is well conditioned and Newton returns to the orbit
+    orb = kc.rational_orbit(kc.Convergent(233, 377), 0.97)
+    rng = np.random.default_rng(0)
+    rough = replace(orb, points=orb.points + 1e-6 * rng.standard_normal(orb.points.shape),
+                    line=kc.orbits.LINE_NONE, closure_error=1.0)
+    fixed = refine_multishoot(rough)
+    assert fixed.closure_error <= 1e-11
+    np.testing.assert_allclose(fixed.points, orb.points, rtol=0, atol=1e-8)
+
+
+# --- symmetric-half Newton --------------------------------------------------------
+
+def _mirror_defect(o):
+    """Largest deviation from the reversor mirror of the orbit's line:
+    q_{n-i} = 2c + 2*pi*m - q_i on q=c, q_{n-1-i} = 2c + 2*pi*m - q_i on q=p/2+c."""
+    q, n = o.points[:, 0], o.n
+    c = 0.0 if o.line in (kc.LINE_Q0, kc.LINE_DIAG) else math.pi
+    j = n - np.arange(n) - (0 if o.line in kc.RATIONAL_LINES else 1)
+    mirrored = q[j % n] + TWO_PI * o.m * (j // n)
+    return float(np.abs(mirrored - (2 * c + TWO_PI * o.m - q)).max())
+
+
+_LINE_ORDERS = [(line, n) for line in kc.orbits.ALL_LINES for n in (3, 5, 8, 13, 21, 34)]
+
+
+@pytest.mark.parametrize("line, n", _LINE_ORDERS, ids=[f"{ln}-{n}" for ln, n in _LINE_ORDERS])
+def test_branch_newton_matches_line_search(line, n):
+    c = next(c for c in kc.fibonacci_convergents(8) if c.n == n)
+    branch = kc.OrbitBranch(c, line=line)
+    for k in (0.3, 0.9):
+        o = branch.orbit_at(k)
+        np.testing.assert_allclose(o.points, kc.find_periodic_orbit(c, k, line).points,
+                                   rtol=0, atol=1e-10)
+        assert _mirror_defect(o) <= 1e-12 * np.abs(o.points[:, 0]).max()
+        assert o.closure_error <= 1e-12
+
+
+def test_branch_residue_closed_forms():
+    fixed = kc.OrbitBranch(kc.Convergent(0, 1), line=kc.LINE_QPI)
+    half = kc.OrbitBranch(kc.Convergent(1, 2))
+    for k in (0.3, 1.1, 1.9):
+        assert abs(kc.residue(kc.monodromy(fixed.orbit_at(k))) - k / 4) <= 1e-12
+        assert abs(kc.residue(kc.monodromy(half.orbit_at(k))) - k * k / 4) <= 1e-10
 
 
 # --- families -----------------------------------------------------------------

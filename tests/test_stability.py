@@ -151,3 +151,15 @@ def test_destabilization_order_987():
     k_star, info = kc.find_destabilization(kc.Convergent(610, 987))
     assert 0.9725 <= k_star <= 0.9735
     assert info["line"] == kc.LINE_QPI
+
+
+@pytest.mark.parametrize("m, n, line, lo, hi", [
+    (987, 1597, kc.LINE_QPI, 0.9722, 0.9726),
+    (1597, 2584, kc.LINE_Q0, 0.9719, 0.9723),
+])
+def test_destabilization_deep_orders(m, n, line, lo, hi):
+    # the symmetric-half Newton reaches past 987, where dense multiple
+    # shooting stalled (n = 1597 stopped near K = 0.950)
+    k_star, info = kc.find_destabilization(kc.Convergent(m, n))
+    assert lo <= k_star <= hi
+    assert info["line"] == line
