@@ -9,7 +9,7 @@ the Chirikov resonance-overlap estimate from measured island widths.
 
 __version__ = "0.1.0"  # before the submodule imports, which read it
 
-from ._kernels import backend as kernel_backend, numba_available
+from ._kernels import backend as kernel_backend
 from .errors import (
     BracketingError,
     ConfigError,

@@ -1,11 +1,8 @@
 """Hot inner loops of the standard map.
 
-Every kernel exists in two builds: a numba ``@njit`` version (used by
-default whenever numba imports) and a numpy/python reference version.
-Setting ``KAMCRIT_NUMBA=0`` in the environment before import forces the
-reference path; :func:`backend` reports which one is active.  Both builds
-are kept importable side by side in :data:`IMPLEMENTATIONS` so that
-``benchmarks/bench_kernels.py`` and the test suite can compare them.
+Scalar kernels are plain python loops; the batched ones vectorise over the
+batch with numpy and loop over the steps.  :data:`IMPLEMENTATIONS` maps the
+build name to its kernels, and :func:`backend` names the one in use.
 
 All kernels work on lifted (unwrapped) coordinates and never reduce to the
 torus; callers wrap for display only.
@@ -14,13 +11,11 @@ torus; callers wrap for display only.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
     "backend",
-    "numba_available",
     "final_state",
     "trajectory",
     "batch_final_state",
@@ -32,16 +27,7 @@ __all__ = [
 ]
 
 
-def _numba_requested() -> bool:
-    value = os.environ.get("KAMCRIT_NUMBA", "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
-# --------------------------------------------------------------------------
-# reference builds
-# --------------------------------------------------------------------------
-
-def _final_state(q, p, k, nsteps):
+def final_state(q, p, k, nsteps):
     """Iterate the lifted standard map ``nsteps`` times from (q, p)."""
     for _ in range(nsteps):
         p = p + k * math.sin(q)
@@ -49,7 +35,7 @@ def _final_state(q, p, k, nsteps):
     return q, p
 
 
-def _trajectory(q, p, k, nsteps):
+def trajectory(q, p, k, nsteps):
     """Lifted trajectory including the start point: shape (nsteps + 1, 2)."""
     out = np.empty((nsteps + 1, 2))
     out[0, 0] = q
@@ -62,7 +48,7 @@ def _trajectory(q, p, k, nsteps):
     return out
 
 
-def _monodromy_product(qs, k):
+def monodromy_product(qs, k):
     """Ordered tangent-map product DT(x_{n-1}) ... DT(x_0) along orbit angles.
 
     Returns (m11, m12, m21, m22, det_prod) where det_prod multiplies the
@@ -90,7 +76,7 @@ def _monodromy_product(qs, k):
     return m11, m12, m21, m22, det
 
 
-def _p_span(q, p, k, nsteps):
+def p_span(q, p, k, nsteps):
     """(min p, max p) over the lifted trajectory, start point included."""
     pmin = p
     pmax = p
@@ -104,7 +90,7 @@ def _p_span(q, p, k, nsteps):
     return pmin, pmax
 
 
-def _max_p_deviation(q, p, k, nsteps, p_ref, cap):
+def max_p_deviation(q, p, k, nsteps, p_ref, cap):
     """Max |p - p_ref| along the trajectory, stopping early past ``cap``.
 
     Returns (deviation, steps_done, escaped).  ``cap <= 0`` disables the
@@ -122,41 +108,8 @@ def _max_p_deviation(q, p, k, nsteps, p_ref, cap):
     return best, nsteps, False
 
 
-def _batch_final_state_loops(qs, ps, k, nsteps):
-    """Loop build of the batched iteration (numba source)."""
-    nb = qs.shape[0]
-    out_q = np.empty(nb)
-    out_p = np.empty(nb)
-    for j in range(nb):
-        q = qs[j]
-        p = ps[j]
-        for _ in range(nsteps):
-            p = p + k * math.sin(q)
-            q = q + p
-        out_q[j] = q
-        out_p[j] = p
-    return out_q, out_p
-
-
-def _batch_trajectory_loops(qs, ps, k, nsteps):
-    """Loop build of the batched trajectory (numba source)."""
-    nb = qs.shape[0]
-    out = np.empty((nb, nsteps + 1, 2))
-    for j in range(nb):
-        q = qs[j]
-        p = ps[j]
-        out[j, 0, 0] = q
-        out[j, 0, 1] = p
-        for i in range(nsteps):
-            p = p + k * math.sin(q)
-            q = q + p
-            out[j, i + 1, 0] = q
-            out[j, i + 1, 1] = p
-    return out
-
-
-def _batch_final_state_np(qs, ps, k, nsteps):
-    """Vectorised fallback: numpy over the batch, python over the steps."""
+def batch_final_state(qs, ps, k, nsteps):
+    """Batched iteration: numpy over the batch, python over the steps."""
     q = np.array(qs, dtype=float)
     p = np.array(ps, dtype=float)
     for _ in range(nsteps):
@@ -165,7 +118,7 @@ def _batch_final_state_np(qs, ps, k, nsteps):
     return q, p
 
 
-def _batch_trajectory_np(qs, ps, k, nsteps):
+def batch_trajectory(qs, ps, k, nsteps):
     q = np.array(qs, dtype=float)
     p = np.array(ps, dtype=float)
     out = np.empty((q.shape[0], nsteps + 1, 2))
@@ -179,52 +132,19 @@ def _batch_trajectory_np(qs, ps, k, nsteps):
     return out
 
 
-_REFERENCE = {
-    "final_state": _final_state,
-    "trajectory": _trajectory,
-    "batch_final_state": _batch_final_state_np,
-    "batch_trajectory": _batch_trajectory_np,
-    "monodromy_product": _monodromy_product,
-    "p_span": _p_span,
-    "max_p_deviation": _max_p_deviation,
+IMPLEMENTATIONS = {
+    "numpy": {
+        "final_state": final_state,
+        "trajectory": trajectory,
+        "batch_final_state": batch_final_state,
+        "batch_trajectory": batch_trajectory,
+        "monodromy_product": monodromy_product,
+        "p_span": p_span,
+        "max_p_deviation": max_p_deviation,
+    },
 }
-
-_NUMBA = None
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:  # stays importable without numba
-        njit = None
-    if njit is not None:
-        _jit = njit(cache=True)
-        _NUMBA = {
-            "final_state": _jit(_final_state),
-            "trajectory": _jit(_trajectory),
-            "batch_final_state": _jit(_batch_final_state_loops),
-            "batch_trajectory": _jit(_batch_trajectory_loops),
-            "monodromy_product": _jit(_monodromy_product),
-            "p_span": _jit(_p_span),
-            "max_p_deviation": _jit(_max_p_deviation),
-        }
-
-IMPLEMENTATIONS = {"numpy": _REFERENCE, "numba": _NUMBA}
-
-_ACTIVE = _NUMBA if _NUMBA is not None else _REFERENCE
-_BACKEND = "numba" if _NUMBA is not None else "numpy"
-
-final_state = _ACTIVE["final_state"]
-trajectory = _ACTIVE["trajectory"]
-batch_final_state = _ACTIVE["batch_final_state"]
-batch_trajectory = _ACTIVE["batch_trajectory"]
-monodromy_product = _ACTIVE["monodromy_product"]
-p_span = _ACTIVE["p_span"]
-max_p_deviation = _ACTIVE["max_p_deviation"]
 
 
 def backend() -> str:
-    """Name of the active kernel build: ``"numba"`` or ``"numpy"``."""
-    return _BACKEND
-
-
-def numba_available() -> bool:
-    return _NUMBA is not None
+    """Name of the kernel build in use: always ``"numpy"``."""
+    return "numpy"

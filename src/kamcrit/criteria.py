@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import _kernels
 from .errors import (
@@ -142,7 +141,8 @@ def aitken_extrapolate(values: Sequence[float]) -> Tuple[float, bool]:
     """Aitken delta-squared on the last three values; (estimate, accelerated).
 
     Falls back to the last value (accelerated=False) for short or
-    denominator-degenerate sequences.
+    denominator-degenerate sequences, and when the estimate is not positive
+    and finite, as it can be when a refused order leaves a gap in the tail.
     """
     vals = [float(v) for v in values]
     if not vals:
@@ -153,7 +153,16 @@ def aitken_extrapolate(values: Sequence[float]) -> Tuple[float, bool]:
     den = x2 - 2.0 * x1 + x0
     if abs(den) < 1e3 * np.finfo(float).eps * max(1.0, abs(x2)):
         return vals[-1], False
-    return x2 - (x2 - x1) ** 2 / den, True
+    estimate = x2 - (x2 - x1) ** 2 / den
+    if not (estimate > 0.0 and math.isfinite(estimate)):
+        return vals[-1], False
+    return estimate, True
+
+
+def _extrapolation_label(accelerated: bool) -> str:
+    if accelerated:
+        return "aitken-delta2(last 3)"
+    return "last value (degenerate sequence or non-positive Aitken estimate)"
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +210,7 @@ def greene_kcrit(
     values = [v for _, v in per_n]
     k_crit, accelerated = aitken_extrapolate(values)
     diagnostics = {
-        "extrapolation": "aitken-delta2(last 3)" if accelerated else "last value (degenerate sequence)",
+        "extrapolation": _extrapolation_label(accelerated),
         "raw_thresholds": values,
         "brackets": brackets,
         "failures": failures,
@@ -232,6 +241,9 @@ def match_elliptic_points(a: PeriodicOrbit, b: PeriodicOrbit) -> List[Tuple[int,
     point is matched exactly once; pairs come back sorted by the first
     orbit's index.
     """
+    # imported here: scipy.optimize would otherwise be most of ``import kamcrit``
+    from scipy.optimize import linear_sum_assignment
+
     if a.n != b.n:
         raise DomainError(f"period mismatch: {a.n} vs {b.n}")
     pa = a.torus_points()
@@ -332,7 +344,7 @@ def nch_kcrit(
         )
     values = [v for _, v in per_n]
     k_crit, accelerated = aitken_extrapolate(values)
-    diagnostics["extrapolation"] = "aitken-delta2(last 3)" if accelerated else "last value (degenerate sequence)"
+    diagnostics["extrapolation"] = _extrapolation_label(accelerated)
     if greene_value is not None:
         diagnostics["greene_k_crit"] = greene_value
         diagnostics["greene_delta"] = k_crit - greene_value

@@ -16,7 +16,9 @@ p = 2 pi m/n, each step one Newton solve on the symmetric half of the orbit:
 the mirror image of the unknowns fixes the other half and pins the point on
 the line, which removes the near-null translation mode of the cyclic
 Jacobian (its determinant is -4R, tiny for deep orders).  The 1D line search
-of :func:`find_periodic_orbit` remains for locating orbits without a branch.
+of :func:`find_periodic_orbit` remains for locating orbits without a branch;
+its roots come from :func:`brentq`, a Brent-Dekker solver defined here so
+that importing the package loads no scipy.
 
 Each family's line is fixed by a parity rule of m/n.  The rational family
 takes q=0 for even n and q=pi otherwise, which carries the elliptic orbit.
@@ -34,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _kernels
 from .errors import (
@@ -424,6 +425,54 @@ def _fixed_point_orbit(c: Convergent, k: float, family: str, line: str) -> Perio
     return _orbit_from_seed(q0, 0.0, c, k, family, line)
 
 
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENTQ_RTOL,
+           maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-changing bracket [a, b] by Brent-Dekker.
+
+    Each step is an inverse-quadratic (or secant) step when it stays well
+    inside the bracket and a bisection otherwise; the search stops once the
+    bracket is narrower than about ``xtol + rtol*|x|``.  Raises
+    :class:`ValueError` when f(a) and f(b) have the same sign and
+    :class:`RuntimeError` after ``maxiter`` steps.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre > 0.0) == (fcur > 0.0):
+        raise ValueError(f"f(a) and f(b) must have different signs on [{a!r}, {b!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre > 0.0) != (fcur > 0.0):  # the root is between xpre and xcur
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the smaller residual in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic through the three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} steps")
+
+
 def _brackets_from_samples(ps: np.ndarray, gs: np.ndarray) -> List[Tuple[float, float]]:
     sign = np.sign(gs)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -447,9 +496,10 @@ def find_periodic_orbit(
 ) -> PeriodicOrbit:
     """Locate the (m, n) periodic orbit whose representative sits on ``line``.
 
-    A 1D bracketed root search in the line parameter p drives the lifted
-    q-closure to zero; each root that closes to 1e-6 is then polished by the
-    symmetric-half Newton that :func:`continue_in_K` steps with.  Without
+    A 1D bracketed root search in the line parameter p, by the in-module
+    Brent solver :func:`brentq`, drives the lifted q-closure to zero; each
+    root that closes to 1e-6 is then polished by the symmetric-half Newton
+    that :func:`continue_in_K` steps with.  Without
     ``p_center``/``p_halfwidth`` the whole fundamental interval [0, 2*pi) is
     scanned at ``scan_samples`` resolution; with them, a window around
     ``p_center`` that widens until the closure changes sign.

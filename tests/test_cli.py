@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kamcrit
 from kamcrit import OrbitBranch
 from kamcrit.cli import main
 
@@ -97,6 +102,25 @@ def test_kcrit_greene_closure_refusals_are_numeric_failures(monkeypatch, capsys)
                         lambda self, k: replace(real(self, k), closure_error=1e-6))
     assert main(["kcrit-greene", "--depth", "2"]) == 1
     assert "no destabilization threshold" in capsys.readouterr().err
+
+
+def test_kcrit_greene_gap_in_tail_falls_back_to_last_value(tmp_path, monkeypatch, capsys):
+    # with order 5 refused, Aitken over 2, 3, 8 goes negative; the estimate
+    # must fall back to K*(8), not become a usage error
+    real = OrbitBranch.orbit_at
+
+    def refuse_order5(self, k):
+        orbit = real(self, k)
+        return replace(orbit, closure_error=1e-6) if self.convergent.n == 5 else orbit
+
+    monkeypatch.setattr(OrbitBranch, "orbit_at", refuse_order5)
+    out = tmp_path / "greene.json"
+    assert main(["kcrit-greene", "--depth", "4", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert [n for n, _ in rec["per_n"]] == [2, 3, 8]
+    assert rec["K_crit"] == rec["per_n"][-1][1]
+    assert rec["diagnostics"]["extrapolation"].startswith("last value")
+    assert [f["n"] for f in rec["diagnostics"]["failures"]] == [5]
 
 
 def test_kcrit_greene_depth15(capsys):
@@ -215,3 +239,16 @@ def test_version():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [["-c", "import kamcrit"], ["-m", "kamcrit.cli", "--version"]],
+                         ids=["import", "cli-version"])
+def test_import_and_version_load_no_scipy(argv):
+    # scipy.optimize is imported by match_elliptic_points on first use only
+    src = str(Path(kamcrit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    loaded = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "kamcrit" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []

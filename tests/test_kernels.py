@@ -1,10 +1,6 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 from kamcrit import _kernels
 
@@ -12,15 +8,6 @@ from kamcrit import _kernels
 def test_backend_reported():
     assert _kernels.backend() in ("numba", "numpy")
     assert _kernels.IMPLEMENTATIONS["numpy"] is not None
-
-
-def test_env_flag_selects_fallback_backend():
-    env = dict(os.environ, KAMCRIT_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "import kamcrit; print(kamcrit.kernel_backend())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
 
 
 def test_trajectory_matches_final_state():
@@ -69,26 +56,3 @@ def test_max_p_deviation_escape_flag():
     dev, steps, escaped = _kernels.max_p_deviation(1e-4, 0.0, 0.04, 10_000, 0.0, 2 * math.pi)
     assert not escaped
     assert steps == 10_000
-
-
-@pytest.mark.skipif(not _kernels.numba_available(), reason="numba backend not importable")
-def test_numba_and_numpy_paths_agree():
-    ref = _kernels.IMPLEMENTATIONS["numpy"]
-    jit = _kernels.IMPLEMENTATIONS["numba"]
-    q, p, k = 0.345, 2.718, 0.97
-    a = ref["final_state"](q, p, k, 12)
-    b = jit["final_state"](q, p, k, 12)
-    assert abs(a[0] - b[0]) < 1e-12 and abs(a[1] - b[1]) < 1e-12
-
-    ta = ref["trajectory"](q, p, k, 12)
-    tb = jit["trajectory"](q, p, k, 12)
-    np.testing.assert_allclose(ta, tb, rtol=0, atol=1e-12)
-
-    qs = np.linspace(0, 6, 9)
-    ma = ref["monodromy_product"](qs, k)
-    mb = jit["monodromy_product"](qs, k)
-    np.testing.assert_allclose(ma, mb, rtol=1e-12, atol=0)
-
-    sa = ref["p_span"](q, p, k, 200)
-    sb = jit["p_span"](q, p, k, 200)
-    np.testing.assert_allclose(sa, sb, rtol=0, atol=1e-10)

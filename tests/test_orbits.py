@@ -123,6 +123,40 @@ def test_not_found_carries_scan_trace():
     assert err.value.scan_trace
 
 
+# --- in-module Brent root finder ---------------------------------------------------
+
+def _agrees_with_scipy(f, a, b, xtol, rtol):
+    ours = kc.orbits.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
+    ref = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
+    return abs(ours - ref) <= xtol + rtol * abs(ref)
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (3, 8), (8, 13), (21, 34), (55, 89)])
+def test_brentq_matches_scipy_on_line_residual(m, n):
+    ps = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
+    checked = 0
+    for k in (0.3, 0.9):
+        for line in kc.orbits.ALL_LINES:
+            gs = kc.orbits._line_residual_batch(line, ps, m, n, k)
+            for a, b in kc.orbits._brackets_from_samples(ps, gs):
+                f = lambda p: kc.orbits._line_residual(line, p, m, n, k)
+                assert _agrees_with_scipy(f, a, b, 1e-14, kc.orbits._BRENTQ_RTOL)
+                checked += 1
+    assert checked >= 4
+
+
+def test_brentq_matches_scipy_on_textbook_functions():
+    rtol = kc.orbits._BRENTQ_RTOL
+    assert _agrees_with_scipy(lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 2e-12, rtol)
+    assert _agrees_with_scipy(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14, rtol)
+    assert abs(kc.orbits.brentq(lambda x: x**3 - 2 * x - 5, 2.0, 3.0) - 2.0945514815423265) < 1e-12
+
+
+def test_brentq_rejects_same_sign_interval():
+    with pytest.raises(ValueError):
+        kc.orbits.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
 # --- refine_newton -------------------------------------------------------------
 
 def test_refine_exact_orbit_is_identity():
