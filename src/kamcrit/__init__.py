@@ -1,4 +1,4 @@
-"""kamcrit: periodic invariant sets of 2D area-preserving maps and the
+"""kamcrit: periodic invariant sets of the standard map and the
 stochastic-transition threshold of the golden-mean KAM curve.
 
 Three criteria are implemented for the standard map: linear destabilization
@@ -15,7 +15,6 @@ from .errors import (
     ConfigError,
     ContinuationError,
     DomainError,
-    ImplicitSolveError,
     KamcritError,
     MergeConflictError,
     NoInteriorMinimumError,
@@ -27,14 +26,12 @@ from .errors import (
 from .mapcore import (
     STANDARD_MAP,
     TWO_PI,
-    MapDefinition,
     PhasePoint,
     action,
     check_stochasticity,
     euler_lagrange_residual,
     iterate_standard,
     reduce_to_torus,
-    step_canonical,
     step_standard,
     symplecticity_check,
     tangent_step,

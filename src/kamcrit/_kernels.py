@@ -1,8 +1,8 @@
 """Hot inner loops of the standard map.
 
 Scalar kernels are plain python loops; the batched ones vectorise over the
-batch with numpy and loop over the steps.  :data:`IMPLEMENTATIONS` maps the
-build name to its kernels, and :func:`backend` names the one in use.
+batch with numpy and loop over the steps.  :func:`backend` names the
+build: always ``"numpy"``.
 
 All kernels work on lifted (unwrapped) coordinates and never reduce to the
 torus; callers wrap for display only.
@@ -23,7 +23,6 @@ __all__ = [
     "monodromy_product",
     "p_span",
     "max_p_deviation",
-    "IMPLEMENTATIONS",
 ]
 
 
@@ -130,19 +129,6 @@ def batch_trajectory(qs, ps, k, nsteps):
         out[:, i + 1, 0] = q
         out[:, i + 1, 1] = p
     return out
-
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "final_state": final_state,
-        "trajectory": trajectory,
-        "batch_final_state": batch_final_state,
-        "batch_trajectory": batch_trajectory,
-        "monodromy_product": monodromy_product,
-        "p_span": p_span,
-        "max_p_deviation": max_p_deviation,
-    },
-}
 
 
 def backend() -> str:

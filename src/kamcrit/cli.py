@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, _kernels
 from .criteria import chirikov_kcrit, chirikov_overlap, greene_kcrit, nch_kcrit
 from .errors import ConfigError, DomainError, KamcritError, UnsupportedParameterError
-from .mapcore import TWO_PI, wrap_angle, wrap_momentum
+from .mapcore import TWO_PI, check_stochasticity, wrap_angle, wrap_momentum
 from .orbits import (
     ALL_LINES,
     FAMILY_ALTERNATE,
@@ -176,12 +176,13 @@ def _parse_seeds(spec: str):
 
 
 def cmd_portrait(args) -> int:
+    k = check_stochasticity(args.K)
     if args.iters < 1:
         raise ConfigError("--iters must be >= 1")
     seeds = _parse_seeds(args.seeds)
     qs = np.array([q for q, _ in seeds])
     ps = np.array([p for _, p in seeds])
-    paths = _kernels.batch_trajectory(qs, ps, float(args.K), int(args.iters))
+    paths = _kernels.batch_trajectory(qs, ps, k, int(args.iters))
     lines = ["seed_id,iter,q,p"]
     for sid in range(paths.shape[0]):
         qt = wrap_angle(paths[sid, :, 0])
@@ -189,7 +190,7 @@ def cmd_portrait(args) -> int:
         for it in range(paths.shape[1]):
             lines.append(f"{sid},{it},{qt[it]:.17g},{pt[it]:.17g}")
     body = "\n".join(lines) + "\n"
-    summary = _summary(K=float(args.K), seeds=len(seeds), iters=args.iters,
+    summary = _summary(K=k, seeds=len(seeds), iters=args.iters,
                        rows=paths.shape[0] * paths.shape[1])
     if args.out:
         write_atomic(Path(args.out), body)

@@ -13,15 +13,6 @@ class UnsupportedParameterError(KamcritError, ValueError):
     """Parameter value outside the implemented range (e.g. alternate index != 1)."""
 
 
-class ImplicitSolveError(KamcritError):
-    """The implicit canonical step failed to converge."""
-
-    def __init__(self, message, last_iterate=None, residual=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
-
-
 class OrbitNotFoundError(KamcritError):
     """Symmetry-line search found no bracketable periodic orbit."""
 

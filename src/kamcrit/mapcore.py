@@ -1,4 +1,4 @@
-"""Discrete canonical maps from a discrete Hamiltonian; the standard map.
+"""The standard map p' = p + K sin q, q' = q + p' and its discrete action.
 
 The primary representation is the lifted (unwrapped) plane: winding numbers
 and the periodicity condition T^n(x) = x + (2*pi*m, 0) only make sense
@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, ImplicitSolveError
+from .errors import DomainError, UnsupportedParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,137 +91,8 @@ def step_standard(x: PointLike, k: float) -> PhasePoint:
     return PhasePoint(pt.q + p1, p1)
 
 
-@dataclass(frozen=True)
-class MapDefinition:
-    """A discrete canonical map defined through its discrete Hamiltonian.
-
-    ``h``, ``dh_dq`` and ``dh_dp`` are callables of (q, p_next, k).  The
-    mixed second derivative ``d2h_dqdp`` is optional; when absent the
-    implicit step falls back to a secant slope.
-    """
-
-    name: str
-    h: Callable[[float, float, float], float]
-    dh_dq: Callable[[float, float, float], float]
-    dh_dp: Callable[[float, float, float], float]
-    d2h_dqdp: Optional[Callable[[float, float, float], float]] = None
-
-
-def _standard_h(q, p1, k):
-    return 0.5 * p1 * p1 + k * math.cos(q)
-
-
-def _standard_dh_dq(q, p1, k):
-    return -(k * math.sin(q))
-
-
-def _standard_dh_dp(q, p1, k):
-    return p1
-
-
-def _standard_d2h_dqdp(q, p1, k):
-    return 0.0
-
-
-STANDARD_MAP = MapDefinition(
-    name="standard",
-    h=_standard_h,
-    dh_dq=_standard_dh_dq,
-    dh_dp=_standard_dh_dp,
-    d2h_dqdp=_standard_d2h_dqdp,
-)
-
-
-def step_canonical(
-    x: PointLike,
-    map_def: MapDefinition,
-    k: float,
-    tol: float = 1e-13,
-    max_iter: int = 50,
-) -> PhasePoint:
-    """One step of the implicit canonical map defined by ``map_def``.
-
-    Solves p' = p - dH/dq(q, p', K) by damped Newton (analytic slope when
-    ``d2h_dqdp`` is supplied, secant otherwise) with a safeguarded bisection
-    fallback, then sets q' = q + dH/dp(q, p', K).  For the standard-map
-    instance the Newton iteration terminates after one exact step, so the
-    result is bit-identical to :func:`step_standard`.
-    """
-    pt = as_phase_point(x)
-    k = check_stochasticity(k)
-    q, p = pt.q, pt.p
-
-    def resid(p1):
-        return p1 - p + map_def.dh_dq(q, p1, k)
-
-    p1 = p
-    r = resid(p1)
-    converged = abs(r) <= tol
-    for _ in range(max_iter):
-        if converged:
-            break
-        if map_def.d2h_dqdp is not None:
-            slope = 1.0 + map_def.d2h_dqdp(q, p1, k)
-        else:
-            h = 1e-7 * (1.0 + abs(p1))
-            slope = (resid(p1 + h) - resid(p1 - h)) / (2.0 * h)
-        if not math.isfinite(slope) or slope == 0.0:
-            break
-        step = -r / slope
-        p_new = p1 + step
-        r_new = resid(p_new)
-        # halve the step until the residual actually shrinks
-        tries = 0
-        while abs(r_new) > abs(r) and tries < 8:
-            step *= 0.5
-            p_new = p1 + step
-            r_new = resid(p_new)
-            tries += 1
-        if abs(r_new) >= abs(r) and abs(r) <= 10.0 * tol:
-            converged = True
-            break
-        p1, r = p_new, r_new
-        converged = abs(r) <= tol
-
-    if not converged and abs(r) > tol:
-        p1, r = _bisect_implicit(resid, p, tol)
-        if p1 is None:
-            raise ImplicitSolveError(
-                f"implicit step failed to converge for map {map_def.name!r}",
-                last_iterate=(q, r[0]),
-                residual=r[1],
-            )
-    q1 = q + map_def.dh_dp(q, p1, k)
-    return PhasePoint(q1, p1)
-
-
-def _bisect_implicit(resid, p_center, tol):
-    """Expanding-bracket bisection fallback for the implicit momentum solve."""
-    width = max(1.0, 0.1 * abs(p_center))
-    lo = hi = None
-    for _ in range(12):
-        a, b = p_center - width, p_center + width
-        ra, rb = resid(a), resid(b)
-        if math.isfinite(ra) and math.isfinite(rb) and ra * rb <= 0.0:
-            lo, hi, rlo = a, b, ra
-            break
-        width *= 2.0
-    if lo is None:
-        return None, (p_center, resid(p_center))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        rm = resid(mid)
-        if abs(rm) <= tol or (hi - lo) < 1e-15 * (1.0 + abs(mid)):
-            return mid, (mid, rm)
-        if rlo * rm <= 0.0:
-            hi = mid
-        else:
-            lo, rlo = mid, rm
-    mid = 0.5 * (lo + hi)
-    rm = resid(mid)
-    if abs(rm) <= 10.0 * tol:
-        return mid, (mid, rm)
-    return None, (mid, rm)
+# the one map_def that action and euler_lagrange_residual accept
+STANDARD_MAP = "standard"
 
 
 def tangent_step(x: PointLike, k: float) -> np.ndarray:
@@ -252,11 +123,18 @@ def as_points_array(traj) -> np.ndarray:
     return arr
 
 
-def action(traj, map_def: MapDefinition = STANDARD_MAP, k: float = 0.0) -> float:
+def _check_map(map_def) -> None:
+    if map_def != STANDARD_MAP:
+        raise UnsupportedParameterError(f"only the standard map is implemented, got {map_def!r}")
+
+
+def action(traj, map_def: str = STANDARD_MAP, k: float = 0.0) -> float:
     """Discrete action S = sum_i [(q_{i+1} - q_i) p_{i+1} - H(q_i, p_{i+1}, K)].
 
-    Uses lifted coordinates over consecutive pairs of ``traj``.
+    H(q, p', K) = p'^2/2 + K cos q generates the standard map.  Uses lifted
+    coordinates over consecutive pairs of ``traj``.
     """
+    _check_map(map_def)
     pts = as_points_array(traj)
     if pts.shape[0] < 2:
         raise DomainError("action needs a trajectory with at least 2 points")
@@ -264,21 +142,23 @@ def action(traj, map_def: MapDefinition = STANDARD_MAP, k: float = 0.0) -> float
     q, p = pts[:, 0], pts[:, 1]
     s = 0.0
     for i in range(pts.shape[0] - 1):
-        s += (q[i + 1] - q[i]) * p[i + 1] - map_def.h(q[i], p[i + 1], k)
+        s += (q[i + 1] - q[i]) * p[i + 1] - (0.5 * p[i + 1] * p[i + 1] + k * math.cos(q[i]))
     return s
 
 
-def euler_lagrange_residual(traj, map_def: MapDefinition = STANDARD_MAP, k: float = 0.0) -> np.ndarray:
+def euler_lagrange_residual(traj, map_def: str = STANDARD_MAP, k: float = 0.0) -> np.ndarray:
     """Stationarity residuals of the discrete action at each interior point.
 
     Entry j (for interior index i = j + 1) is the max-norm of the two
-    first-variation brackets at point i:
+    first-variation brackets at point i, with dH/dq = -K sin q and
+    dH/dp' = p':
 
-        |(p_i - p_{i+1}) - dH/dq(q_i, p_{i+1}, K)|   (variation in q_i)
-        |(q_i - q_{i-1}) - dH/dp(q_{i-1}, p_i, K)|   (variation in p_i)
+        |(p_i - p_{i+1}) + K sin q_i|   (variation in q_i)
+        |(q_i - q_{i-1}) - p_i|         (variation in p_i)
 
     Both vanish exactly on true map trajectories.
     """
+    _check_map(map_def)
     pts = as_points_array(traj)
     n = pts.shape[0]
     if n < 3:
@@ -287,8 +167,8 @@ def euler_lagrange_residual(traj, map_def: MapDefinition = STANDARD_MAP, k: floa
     q, p = pts[:, 0], pts[:, 1]
     out = np.empty(n - 2)
     for i in range(1, n - 1):
-        rq = (p[i] - p[i + 1]) - map_def.dh_dq(q[i], p[i + 1], k)
-        rp = (q[i] - q[i - 1]) - map_def.dh_dp(q[i - 1], p[i], k)
+        rq = (p[i] - p[i + 1]) + k * math.sin(q[i])
+        rp = (q[i] - q[i - 1]) - p[i]
         out[i - 1] = max(abs(rq), abs(rp))
     return out
 

@@ -492,7 +492,6 @@ def find_periodic_orbit(
     p_center: Optional[float] = None,
     p_halfwidth: Optional[float] = None,
     family: Optional[str] = None,
-    scan_samples: int = _SCAN_SAMPLES,
 ) -> PeriodicOrbit:
     """Locate the (m, n) periodic orbit whose representative sits on ``line``.
 
@@ -501,7 +500,7 @@ def find_periodic_orbit(
     root that closes to 1e-6 is then polished by the symmetric-half Newton
     that :func:`continue_in_K` steps with.  Without
     ``p_center``/``p_halfwidth`` the whole fundamental interval [0, 2*pi) is
-    scanned at ``scan_samples`` resolution; with them, a window around
+    scanned at ``_SCAN_SAMPLES`` resolution; with them, a window around
     ``p_center`` that widens until the closure changes sign.
     """
     k = check_stochasticity(k)
@@ -520,10 +519,10 @@ def find_periodic_orbit(
     target = TWO_PI * m / n if p_center is None else p_center
 
     if p_halfwidth is None:
-        ps = np.linspace(0.0, TWO_PI, scan_samples, endpoint=False)
+        ps = np.linspace(0.0, TWO_PI, _SCAN_SAMPLES, endpoint=False)
         gs = _line_residual_batch(line, ps, m, n, k)
         brackets = _brackets_from_samples(ps, gs)
-        trace = {"line": line, "samples": scan_samples, "g_min": float(gs.min()), "g_max": float(gs.max())}
+        trace = {"line": line, "samples": _SCAN_SAMPLES, "g_min": float(gs.min()), "g_max": float(gs.max())}
     else:
         brackets = []
         w = max(p_halfwidth, 1e-9)

@@ -27,6 +27,7 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -98,6 +99,8 @@ def _parse_real_list(text: str) -> List[float]:
             start, step, stop = (float(p) for p in parts)
         except ValueError as err:
             raise ConfigError(f"bad real in range {text!r}") from err
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise ConfigError(f"range start, step and stop must be finite, got {text!r}")
         if step <= 0:
             raise ConfigError("range step must be > 0")
         out = []

@@ -17,7 +17,6 @@ import numpy as np
 from . import _kernels
 from .errors import BracketingError, DomainError
 from .orbits import (
-    FAMILY_ALTERNATE,
     FAMILY_RATIONAL,
     Convergent,
     OrbitBranch,
@@ -131,14 +130,6 @@ def orbit_report(orbit: PeriodicOrbit) -> StabilityReport:
 # destabilization threshold
 # --------------------------------------------------------------------------
 
-def _branch_for(c: Convergent, family: str, line: Optional[str], dk_max: float = 0.05) -> OrbitBranch:
-    if family not in (FAMILY_RATIONAL, FAMILY_ALTERNATE, "rational", "alternate"):
-        raise DomainError(f"unknown family {family!r}")
-    fam = FAMILY_RATIONAL if family.startswith("rational") else FAMILY_ALTERNATE
-    forced = None if line in (None, "auto") else line
-    return OrbitBranch(c, fam, dk_max=dk_max, line=forced)
-
-
 def _residue_at(branch: OrbitBranch, k: float) -> float:
     return residue(monodromy(branch.orbit_at(k)))
 
@@ -167,7 +158,7 @@ def destabilization_K(
     Verifies the bracket (elliptic at ``k_lo``, residue >= 1 at ``k_hi``)
     and bisects in K, continuing the orbit to every probe.
     """
-    branch = _branch_for(c, family, line)
+    branch = OrbitBranch(c, family, line=line)
     r_lo = _residue_at(branch, k_lo)
     if not (0.0 < r_lo < 1.0):
         raise BracketingError(
@@ -198,7 +189,7 @@ def find_destabilization(
     sampled residues.  Raises :class:`BracketingError` when no crossing is
     found below ``k_max``.
     """
-    branch = branch if branch is not None else _branch_for(c, family, line, dk_max)
+    branch = branch if branch is not None else OrbitBranch(c, family, dk_max, line)
     k = k_start
     r = _residue_at(branch, k)
     samples = [(k, r)]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import kamcrit
 from kamcrit import OrbitBranch
-from kamcrit.cli import main
+from kamcrit.cli import build_parser, main
 
 TWO_PI = 2 * math.pi
 
@@ -227,6 +228,45 @@ def test_scan_bad_config_usage_error(tmp_path, capsys):
 def test_scan_missing_config_file_usage_error(tmp_path, capsys):
     assert main(["scan", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("K", ["nan", "inf", "-1"])
+def test_portrait_rejects_bad_stochasticity(K, tmp_path, capsys):
+    out = tmp_path / "portrait.csv"
+    assert main(["portrait", "--K", K, "--seeds", "2", "--iters", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+# exit codes: 1 for numeric failure, 2 for usage; at least one 2 per subcommand
+EXIT_CODES = [
+    (["orbit", "--m", "1", "--n", "2", "--K", "nan"], 2),
+    (["residue", "--m", "0", "--n", "1", "--K", "-1"], 2),
+    (["kcrit-greene", "--depth", "0"], 2),
+    (["kcrit-nch", "--depth", "1", "--k-grid", "1,2"], 2),
+    (["kcrit-nch", "--depth", "1", "--k-grid", "0:1:inf"], 2),
+    (["kcrit-nch", "--depth", "1", "--k-grid", "0:inf:1"], 2),
+    (["chirikov", "--K", "-1"], 2),
+    (["chirikov", "--K", "5.0"], 1),
+    (["portrait", "--K", "nan", "--seeds", "2", "--iters", "2"], 2),
+    (["portrait", "--K", "inf", "--seeds", "2", "--iters", "2"], 2),
+    (["scan"], 2),
+    (["scan", "--config", "{tmp}/fail.cfg"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES, ids=[" ".join(a) for a, _ in EXIT_CODES])
+def test_exit_code_table(argv, code, tmp_path, capsys):
+    # the scan's only task escapes, so no task succeeds
+    (tmp_path / "fail.cfg").write_text(
+        f"methods = chirikov\ndepth = 1\nk_grid = 5.0\noutput_dir = {tmp_path / 'run'}\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == code
+    if code == 2:
+        assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_table_covers_every_subcommand():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {argv[0] for argv, _ in EXIT_CODES}
 
 
 def test_help_exits_zero():

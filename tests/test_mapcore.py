@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kamcrit as kc
-from kamcrit.errors import DomainError, ImplicitSolveError
-from kamcrit.mapcore import STANDARD_MAP, MapDefinition, as_points_array
+from kamcrit.errors import DomainError, UnsupportedParameterError
+from kamcrit.mapcore import STANDARD_MAP, as_points_array
 
 TWO_PI = 2 * math.pi
 
@@ -33,72 +33,6 @@ def test_step_rejects_nonfinite():
         kc.step_standard((0.0, 0.0), -0.5)
     with pytest.raises(DomainError):
         kc.step_standard((0.0, 0.0), math.inf)
-
-
-# --- step_canonical ----------------------------------------------------------
-
-def test_canonical_matches_standard_bitwise():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        q = rng.uniform(-10, 10)
-        p = rng.uniform(-10, 10)
-        k = rng.uniform(0, 5)
-        a = kc.step_standard((q, p), k)
-        b = kc.step_canonical((q, p), STANDARD_MAP, k)
-        assert a.q == b.q and a.p == b.p
-
-
-def test_canonical_integrable_shear():
-    mapdef = STANDARD_MAP
-    pt = kc.step_canonical((0.3, 0.7), mapdef, 0.0)
-    assert pt.p == 0.7
-    assert pt.q == 0.3 + 0.7
-
-
-def test_canonical_against_bisection_oracle():
-    # independent 1D bisection on the implicit momentum equation
-    q, p, k = 0.3, 0.7, 0.5
-
-    def resid(p1):
-        return p1 - p + (-(k * math.sin(q)))
-
-    lo, hi = p - 2.0, p + 2.0
-    assert resid(lo) * resid(hi) < 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if resid(lo) * resid(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    p1_oracle = 0.5 * (lo + hi)
-    got = kc.step_canonical((q, p), STANDARD_MAP, k)
-    assert abs(got.p - p1_oracle) < 1e-12
-    assert abs(got.q - (q + p1_oracle)) < 1e-12
-
-
-def test_canonical_secant_slope_without_second_derivative():
-    plain = MapDefinition(
-        name="standard-no-d2",
-        h=STANDARD_MAP.h,
-        dh_dq=STANDARD_MAP.dh_dq,
-        dh_dp=STANDARD_MAP.dh_dp,
-    )
-    a = kc.step_canonical((1.1, 0.4), plain, 0.8)
-    b = kc.step_standard((1.1, 0.4), 0.8)
-    assert abs(a.q - b.q) < 1e-12 and abs(a.p - b.p) < 1e-12
-
-
-def test_canonical_solver_error_carries_state():
-    # p' - p + 1 + p'^2 has no real root for p = 0
-    bad = MapDefinition(
-        name="no-root",
-        h=lambda q, p1, k: 0.0,
-        dh_dq=lambda q, p1, k: 1.0 + p1 * p1,
-        dh_dp=lambda q, p1, k: p1,
-    )
-    with pytest.raises(ImplicitSolveError) as err:
-        kc.step_canonical((0.0, 0.0), bad, 1.0)
-    assert err.value.residual is not None
 
 
 # --- tangent map / symplecticity --------------------------------------------
@@ -198,6 +132,14 @@ def test_action_against_resummation_oracle():
 def test_action_needs_two_points():
     with pytest.raises(DomainError):
         kc.action([(0.0, 0.0)], STANDARD_MAP, 1.0)
+
+
+def test_action_and_residual_reject_other_maps():
+    traj = kc.trajectory_standard((0.4, 1.3), 0.5, 4)
+    with pytest.raises(UnsupportedParameterError):
+        kc.action(traj, "henon", 0.5)
+    with pytest.raises(UnsupportedParameterError):
+        kc.euler_lagrange_residual(traj, "henon", 0.5)
 
 
 # --- Euler-Lagrange residual -------------------------------------------------

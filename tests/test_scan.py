@@ -31,6 +31,13 @@ def test_parse_range_syntax(tmp_path):
     assert cfg.k_grid == [0.80, 0.82, 0.84, 0.86, 0.88, 0.90]
 
 
+@pytest.mark.parametrize("grid", ["0:1:inf", "0:inf:1", "-inf:1:2", "0:nan:1"])
+def test_parse_range_rejects_non_finite(grid):
+    # a non-finite start, step or stop would never end the range loop
+    with pytest.raises(ConfigError):
+        scan._parse_real_list(grid)
+
+
 def test_parse_tolerances(tmp_path):
     text = _cfg_text(tmp_path / "o") + "tol.k_star = 1e-5\n"
     cfg = parse_scan_config(text)

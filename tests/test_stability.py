@@ -140,6 +140,11 @@ def test_find_destabilization_walk():
     assert 0.9716 < k_star < 2.0
 
 
+def test_find_destabilization_unknown_family():
+    with pytest.raises(DomainError):
+        find_destabilization(kc.Convergent(1, 2), family="bogus")
+
+
 def test_destabilization_monotone_small_orders():
     ks = [find_destabilization(c)[0] for c in kc.fibonacci_convergents(4)]
     assert all(b <= a + 1e-9 for a, b in zip(ks, ks[1:]))
