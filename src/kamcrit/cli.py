@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -170,9 +171,12 @@ def _parse_seeds(spec: str):
     if not pairs:
         raise ConfigError(f"cannot parse seeds {spec!r}: expected a count or '(q,p)' pairs")
     try:
-        return [(float(q), float(p)) for q, p in pairs]
+        seeds = [(float(q), float(p)) for q, p in pairs]
     except ValueError as err:
         raise ConfigError(f"non-numeric seed in {spec!r}") from err
+    if not all(math.isfinite(q) and math.isfinite(p) for q, p in seeds):
+        raise ConfigError(f"seed coordinates must be finite, got {spec!r}")
+    return seeds
 
 
 def cmd_portrait(args) -> int:

@@ -38,7 +38,7 @@ from .orbits import (
     PeriodicOrbit,
     fibonacci_convergents,
 )
-from .stability import find_destabilization
+from .stability import check_tol_k, find_destabilization
 
 __all__ = [
     "CriterionResult",
@@ -172,33 +172,25 @@ def _extrapolation_label(accelerated: bool) -> str:
 def greene_kcrit(
     depth: int = 8,
     convergents: Optional[Sequence[Convergent]] = None,
-    k_start: float = 0.25,
-    k_step: float = 0.25,
-    k_max: float = 4.5,
     tol_k: float = 1e-6,
 ) -> CriterionResult:
     """Destabilization thresholds K*(n) over the convergent family, extrapolated.
 
     ``convergents`` overrides the default Fibonacci list (e.g. a single
-    ``Convergent(0, 1)`` reproduces the fixed-point threshold 4).  The
-    arguments are checked up front (:class:`DomainError`); after that, an
+    ``Convergent(0, 1)`` reproduces the fixed-point threshold 4).  ``tol_k``
+    is checked up front (:class:`DomainError`); after that, an
     order that fails numerically (no bracket, a stalled continuation, an
     orbit whose closure the monodromy refuses) is recorded in
     ``diagnostics["failures"]`` and the extrapolation uses the available tail.
     """
     cs = list(convergents) if convergents is not None else fibonacci_convergents(depth)
-    check_stochasticity(k_start)
-    for name, value in (("k_step", k_step), ("k_max", k_max), ("tol_k", tol_k)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    check_tol_k(tol_k)
     per_n: List[Tuple[int, float]] = []
     failures = []
     brackets = {}
     for c in cs:
         try:
-            k_star, info = find_destabilization(
-                c, FAMILY_RATIONAL, None, k_start=k_start, k_step=k_step, k_max=k_max, tol_k=tol_k
-            )
+            k_star, info = find_destabilization(c, tol_k=tol_k)
         except (BracketingError, OrbitNotFoundError, RefinementError, ContinuationError,
                 DomainError) as err:
             failures.append({"n": c.n, "error": str(err)})
@@ -257,8 +249,8 @@ def match_elliptic_points(a: PeriodicOrbit, b: PeriodicOrbit) -> List[Tuple[int,
     return pairs
 
 
-def _pair_branches(c: Convergent, dk_max: float = 0.05) -> Tuple[OrbitBranch, OrbitBranch]:
-    return OrbitBranch(c, FAMILY_RATIONAL, dk_max), OrbitBranch(c, FAMILY_ALTERNATE, dk_max)
+def _pair_branches(c: Convergent) -> Tuple[OrbitBranch, OrbitBranch]:
+    return OrbitBranch(c, FAMILY_RATIONAL), OrbitBranch(c, FAMILY_ALTERNATE)
 
 
 def nch_distance(n: int, k: float) -> float:
@@ -285,10 +277,9 @@ def nch_distance_curve(
     c: Convergent,
     k_grid: Sequence[float],
     branches: Optional[Tuple[OrbitBranch, OrbitBranch]] = None,
-    dk_max: float = 0.05,
 ) -> DistanceCurve:
     """Distance curve d(K) for one order over an ascending K grid."""
-    rational, alternate = branches if branches is not None else _pair_branches(c, dk_max)
+    rational, alternate = branches if branches is not None else _pair_branches(c)
     samples = []
     for k in k_grid:
         a = rational.orbit_at(float(k))
@@ -356,6 +347,11 @@ def nch_kcrit(
 # --------------------------------------------------------------------------
 
 _RESONANCE_SPACING = TWO_PI  # integer resonances at p = 0 and p = 2*pi
+_WIDTH_OFFSET = 1e-4  # launch distance along q from the hyperbolic point
+_WIDTH_ITERATIONS = 10_000
+_ESCAPE_CAP = TWO_PI  # a deviation this large has left the resonance
+_FIT_SAMPLES = tuple(np.geomspace(0.01, 0.1, 8))  # small K, where the separatrix layer is thin
+_CROSSING_SCAN = (0.5, 3.0, 11)  # (first K, last K, count) of the measured rho(K) scan
 
 
 def pendulum_half_width(k: float) -> float:
@@ -363,77 +359,69 @@ def pendulum_half_width(k: float) -> float:
     return 2.0 * math.sqrt(check_stochasticity(k))
 
 
-def island_half_width(
-    k: float,
-    p_res: float,
-    offset: float = 1e-4,
-    iterations: int = 10_000,
-    escape_cap: float = TWO_PI,
-) -> float:
+def island_half_width(k: float, p_res: float) -> float:
     """Measured island semi-amplitude of the integer resonance at ``p_res``.
 
-    Launches just inside the separatrix, ``offset`` along q from the
-    hyperbolic point (0, p_res), and records max |p - p_res| over
-    ``iterations`` lifted steps.  A deviation reaching ``escape_cap`` means
-    the orbit left the resonance (overlap regime) and raises
-    :class:`WidthMeasurementError` with the trajectory diagnostics.
+    Launches just inside the separatrix, ``_WIDTH_OFFSET`` (1e-4) along q
+    from the hyperbolic point (0, p_res), and records max |p - p_res| over
+    ``_WIDTH_ITERATIONS`` (10 000) lifted steps.  A deviation reaching
+    ``_ESCAPE_CAP`` (2*pi) means the orbit left the resonance (overlap
+    regime) and raises :class:`WidthMeasurementError` with the trajectory
+    diagnostics.
     """
     k = check_stochasticity(k)
     if k == 0.0:
         raise DomainError("island width needs K > 0")
-    dev, steps, escaped = _kernels.max_p_deviation(offset, p_res, k, int(iterations), p_res, escape_cap)
+    dev, steps, escaped = _kernels.max_p_deviation(
+        _WIDTH_OFFSET, p_res, k, _WIDTH_ITERATIONS, p_res, _ESCAPE_CAP
+    )
     if escaped:
         raise WidthMeasurementError(
             f"separatrix orbit escaped the p={p_res:g} resonance at K={k:g} "
             f"after {steps} iterations (deviation {dev:.4g})",
             diagnostics={"K": k, "p_res": p_res, "steps": steps, "deviation": dev,
-                         "offset": offset, "escape_cap": escape_cap},
+                         "offset": _WIDTH_OFFSET, "escape_cap": _ESCAPE_CAP},
         )
     return float(dev)
 
 
-def chirikov_overlap(k: float, iterations: int = 10_000) -> float:
+def chirikov_overlap(k: float) -> float:
     """Measured overlap ratio rho(K) = (w0 + w1) / (2*pi); rho = 1 marks overlap."""
     k = check_stochasticity(k)
     if k <= 0.0:
         raise DomainError("overlap ratio needs K > 0")
-    w0 = island_half_width(k, 0.0, iterations=iterations)
-    w1 = island_half_width(k, TWO_PI, iterations=iterations)
+    w0 = island_half_width(k, 0.0)
+    w1 = island_half_width(k, TWO_PI)
     return (w0 + w1) / _RESONANCE_SPACING
 
 
-def chirikov_kcrit(
-    k_samples: Optional[Sequence[float]] = None,
-    crossing_scan: Tuple[float, float, int] = (0.5, 3.0, 11),
-    iterations: int = 10_000,
-) -> CriterionResult:
+def chirikov_kcrit() -> CriterionResult:
     """Overlap threshold from measured widths via the pendulum scaling law.
 
-    Fits w(K) = c*sqrt(K) to the measured semi-amplitudes on the small-K
-    samples (where the separatrix layer is negligible) and solves
-    2*c*sqrt(K) = 2*pi for the overlap threshold; c = 2 recovers the
-    pendulum value (pi/2)^2 ~ 2.47.  The raw measured rho(K) = 1 crossing,
-    which saturates early once transport through broken curves sets in, is
-    scanned separately and reported in the diagnostics for comparison.
+    Fits w(K) = c*sqrt(K) to the measured semi-amplitudes at the
+    ``_FIT_SAMPLES`` (8 geometric K from 0.01 to 0.1, where the separatrix
+    layer is negligible) and solves 2*c*sqrt(K) = 2*pi for the overlap
+    threshold; c = 2 recovers the pendulum value (pi/2)^2 ~ 2.47.  The raw
+    measured rho(K) = 1 crossing, which saturates early once transport
+    through broken curves sets in, is scanned separately on
+    ``_CROSSING_SCAN`` (11 K from 0.5 to 3.0) and reported in the
+    diagnostics for comparison.
     """
-    if k_samples is None:
-        k_samples = np.geomspace(0.01, 0.1, 8)
-    ks = [float(k) for k in k_samples]
+    ks = [float(k) for k in _FIT_SAMPLES]
     widths = []
     ratios = []
     for k in ks:
-        w = island_half_width(k, 0.0, iterations=iterations)
+        w = island_half_width(k, 0.0)
         widths.append(w)
         ratios.append(w / pendulum_half_width(k))
     c_fit = float(np.mean([w / math.sqrt(k) for w, k in zip(widths, ks)]))
     k_crit = (math.pi / c_fit) ** 2
 
-    lo, hi, count = crossing_scan
-    scan_ks = np.linspace(lo, hi, int(count))
+    scan_ks = np.linspace(*_CROSSING_SCAN)
     scan_rho = []
     for k in scan_ks:
         try:
-            rho = chirikov_overlap(float(k), iterations=iterations)
+            rho = chirikov_overlap(float(k))
         except WidthMeasurementError:
             rho = math.inf
         scan_rho.append(rho)

@@ -10,7 +10,7 @@ class DomainError(KamcritError, ValueError):
 
 
 class UnsupportedParameterError(KamcritError, ValueError):
-    """Parameter value outside the implemented range (e.g. alternate index != 1)."""
+    """Parameter value outside the implemented range (e.g. a map other than the standard map)."""
 
 
 class OrbitNotFoundError(KamcritError):

@@ -29,11 +29,10 @@ tests at every Fibonacci order up to 610.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .errors import (
     DomainError,
     OrbitNotFoundError,
     RefinementError,
-    UnsupportedParameterError,
 )
 from .mapcore import (
     TWO_PI,
@@ -72,6 +70,7 @@ FAMILY_ALTERNATE = "alternate(1)"
 _EPS = float(np.finfo(float).eps)
 _BRENTQ_RTOL = 4.0 * _EPS
 _SCAN_SAMPLES = 2048
+_DK_MAX = 0.05  # largest continuation step in K
 
 
 def line_seed(line: str, p: float) -> Tuple[float, float]:
@@ -485,23 +484,15 @@ def _brackets_from_samples(ps: np.ndarray, gs: np.ndarray) -> List[Tuple[float, 
     return out
 
 
-def find_periodic_orbit(
-    c: Convergent,
-    k: float,
-    line: str,
-    p_center: Optional[float] = None,
-    p_halfwidth: Optional[float] = None,
-    family: Optional[str] = None,
-) -> PeriodicOrbit:
+def find_periodic_orbit(c: Convergent, k: float, line: str, family: Optional[str] = None) -> PeriodicOrbit:
     """Locate the (m, n) periodic orbit whose representative sits on ``line``.
 
-    A 1D bracketed root search in the line parameter p, by the in-module
-    Brent solver :func:`brentq`, drives the lifted q-closure to zero; each
-    root that closes to 1e-6 is then polished by the symmetric-half Newton
-    that :func:`continue_in_K` steps with.  Without
-    ``p_center``/``p_halfwidth`` the whole fundamental interval [0, 2*pi) is
-    scanned at ``_SCAN_SAMPLES`` resolution; with them, a window around
-    ``p_center`` that widens until the closure changes sign.
+    The whole fundamental interval [0, 2*pi) of the line parameter p is
+    sampled at ``_SCAN_SAMPLES`` points; each sign change of the lifted
+    q-closure is solved by the in-module Brent solver :func:`brentq`, and
+    each root that closes to 1e-6 is polished by the symmetric-half Newton
+    that :func:`continue_in_K` steps with.  Of the distinct orbits found,
+    the one whose p lies closest to 2*pi*m/n is returned.
     """
     k = check_stochasticity(k)
     if line not in ALL_LINES:
@@ -516,26 +507,11 @@ def find_periodic_orbit(
         q0, _ = line_seed(line, p0)
         return _orbit_from_seed(q0, p0, c, k, family, line)
 
-    target = TWO_PI * m / n if p_center is None else p_center
-
-    if p_halfwidth is None:
-        ps = np.linspace(0.0, TWO_PI, _SCAN_SAMPLES, endpoint=False)
-        gs = _line_residual_batch(line, ps, m, n, k)
-        brackets = _brackets_from_samples(ps, gs)
-        trace = {"line": line, "samples": _SCAN_SAMPLES, "g_min": float(gs.min()), "g_max": float(gs.max())}
-    else:
-        brackets = []
-        w = max(p_halfwidth, 1e-9)
-        cap = max(4.0 * p_halfwidth, min(0.4, math.pi / n + 0.05))
-        trace = {"line": line, "window_center": target, "window_cap": cap}
-        while w <= cap:
-            ps = np.linspace(target - w, target + w, 33)
-            gs = _line_residual_batch(line, ps, m, n, k)
-            brackets = _brackets_from_samples(ps, gs)
-            if brackets:
-                break
-            w *= 2.0
-        trace["window_final"] = w
+    target = TWO_PI * m / n
+    ps = np.linspace(0.0, TWO_PI, _SCAN_SAMPLES, endpoint=False)
+    gs = _line_residual_batch(line, ps, m, n, k)
+    brackets = _brackets_from_samples(ps, gs)
+    trace = {"line": line, "samples": _SCAN_SAMPLES, "g_min": float(gs.min()), "g_max": float(gs.max())}
 
     if not brackets:
         raise OrbitNotFoundError(
@@ -582,27 +558,26 @@ def find_periodic_orbit(
 # continuation
 # --------------------------------------------------------------------------
 
-def continue_in_K(orbit: PeriodicOrbit, k_target: float, dk_max: float = 0.05) -> PeriodicOrbit:
+def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
     """Natural-parameter continuation of an orbit to ``k_target``.
 
     Each step is one Newton solve of the Euler-Lagrange equations at the
     next K, started from the current angles: on the orbit's symmetric half
     for the four symmetry lines, on the full cyclic system for
-    ``LINE_NONE``.  The step adapts: it halves whenever Newton fails and
-    stops with :class:`ContinuationError` (reporting the last good K) at the
-    floor 1e-6, which signals an orbit collision or bifurcation.  Family and
-    line tags are preserved.
+    ``LINE_NONE``.  The step adapts: it grows by 1.6 after each success up
+    to ``_DK_MAX`` (0.05), halves whenever Newton fails, and stops with
+    :class:`ContinuationError` (reporting the last good K) at the floor
+    1e-6, which signals an orbit collision or bifurcation.  Family and line
+    tags are preserved.
     """
     k_target = check_stochasticity(k_target)
-    if dk_max <= 0.0:
-        raise DomainError("dk_max must be > 0")
     if k_target == orbit.K:
         return orbit
     if orbit.n == 1:
         return _fixed_point_orbit(orbit.convergent, k_target, orbit.family, orbit.line)
 
     current = orbit
-    dk = min(dk_max, abs(k_target - orbit.K))
+    dk = min(_DK_MAX, abs(k_target - orbit.K))
     while current.K != k_target:
         direction = 1.0 if k_target > current.K else -1.0
         k_next = current.K + direction * dk
@@ -620,7 +595,7 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float, dk_max: float = 0.05) -
                 )
             continue
         current = nxt
-        dk = min(dk * 1.6, dk_max)
+        dk = min(dk * 1.6, _DK_MAX)
     return current
 
 
@@ -644,50 +619,30 @@ class OrbitBranch:
     family takes q=p/2 when m or n is even and q=p/2+pi otherwise, which
     carries the hyperbolic partner of that elliptic orbit.  Orbits at
     arbitrary K are served by continuation from the nearest cached
-    stochasticity, starting from the K = 0 circle.
+    stochasticity, the lower one on a tie, starting from the K = 0 circle.
     """
 
     def __init__(self, convergent: Convergent, family: str = FAMILY_RATIONAL,
-                 dk_max: float = 0.05, line: Optional[str] = None):
+                 line: Optional[str] = None):
         if family not in (FAMILY_RATIONAL, FAMILY_ALTERNATE):
             raise DomainError(f"unknown family {family!r}")
         self.convergent = convergent
         self.family = family
-        self.dk_max = dk_max
         self.line = line if line is not None else _rule_line(convergent, family)
-        self._ks: List[float] = []
-        self._orbits: List[PeriodicOrbit] = []
-
-    def _cache_put(self, orbit: PeriodicOrbit) -> None:
-        i = bisect.bisect_left(self._ks, orbit.K)
-        if i < len(self._ks) and self._ks[i] == orbit.K:
-            return
-        self._ks.insert(i, orbit.K)
-        self._orbits.insert(i, orbit)
-
-    def _cache_nearest(self, k: float) -> PeriodicOrbit:
-        i = bisect.bisect_left(self._ks, k)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(self._ks):
-                if best is None or abs(self._ks[j] - k) < abs(best.K - k):
-                    best = self._orbits[j]
-        return best
+        self._cache: Dict[float, PeriodicOrbit] = {}
 
     def orbit_at(self, k: float) -> PeriodicOrbit:
         """Orbit of this branch at stochasticity ``k`` (cached continuation)."""
         k = check_stochasticity(k)
         if self.convergent.n == 1:
             return _fixed_point_orbit(self.convergent, k, self.family, self.line)
-        if not self._ks:
-            self._cache_put(find_periodic_orbit(self.convergent, 0.0, self.line, family=self.family))
-        i = bisect.bisect_left(self._ks, k)
-        if i < len(self._ks) and self._ks[i] == k:
-            return self._orbits[i]
-        start = self._cache_nearest(k)
-        orbit = continue_in_K(start, k, self.dk_max)
-        self._cache_put(orbit)
-        return orbit
+        if not self._cache:
+            self._cache[0.0] = find_periodic_orbit(self.convergent, 0.0, self.line, family=self.family)
+        if k not in self._cache:
+            # bisection midpoints tie exactly; sorted order sends a tie to the lower K
+            nearest = min(sorted(self._cache), key=lambda kk: abs(kk - k))
+            self._cache[k] = continue_in_K(self._cache[nearest], k)
+        return self._cache[k]
 
 
 def rational_orbit(c: Convergent, k: float) -> PeriodicOrbit:
@@ -695,10 +650,8 @@ def rational_orbit(c: Convergent, k: float) -> PeriodicOrbit:
     return OrbitBranch(c, FAMILY_RATIONAL).orbit_at(k)
 
 
-def alternate_orbit(c: Convergent, k: float, j: int = 1) -> PeriodicOrbit:
-    """The second-family orbit of winding m/n at stochasticity K (j = 1 only)."""
-    if j != 1:
-        raise UnsupportedParameterError(f"only the j=1 alternate family is implemented, got j={j}")
+def alternate_orbit(c: Convergent, k: float) -> PeriodicOrbit:
+    """The second-family orbit of winding m/n at stochasticity K."""
     return OrbitBranch(c, FAMILY_ALTERNATE).orbit_at(k)
 
 
@@ -718,10 +671,8 @@ def rational_iterates(k: float, depth: int) -> List[Union[PeriodicOrbit, OrbitFa
     return out
 
 
-def alternate_iterates(k: float, depth: int, j: int = 1) -> List[Union[PeriodicOrbit, OrbitFailure]]:
-    """Alternate-family orbits (second symmetry-line family), j = 1 only."""
-    if j != 1:
-        raise UnsupportedParameterError(f"only the j=1 alternate family is implemented, got j={j}")
+def alternate_iterates(k: float, depth: int) -> List[Union[PeriodicOrbit, OrbitFailure]]:
+    """Alternate-family orbits (second symmetry-line family)."""
     k = check_stochasticity(k)
     out: List[Union[PeriodicOrbit, OrbitFailure]] = []
     for c in fibonacci_convergents(depth):

@@ -9,8 +9,8 @@ Config files are flat key-value text, one ``key = value`` per line with
                                  # comma-separated list of reals
     output_dir = out/run1        # relative paths resolve against the
                                  # config file's directory
-    tol.k_star = 1e-6            # optional tolerance overrides (reals):
-    tol.dk_max = 0.05            #   k_star, dk_max
+    tol.k_star = 1e-6            # optional bisection width of each K*(n)
+                                 # (positive real, default 1e-6)
 
 Each (method, order/K) task is independent; failures are recorded per task
 in the manifest and never stop the remaining tasks.  Worker count comes
@@ -35,13 +35,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import ConfigError, KamcritError, MergeConflictError
+from .errors import ConfigError, DomainError, KamcritError, MergeConflictError
 from .criteria import chirikov_overlap, nch_distance_curve
 from .orbits import Convergent, fibonacci_convergents
-from .stability import find_destabilization
+from .stability import check_tol_k, find_destabilization
 
 METHODS = ("greene", "nch", "chirikov")
-_KNOWN_TOLERANCES = ("k_star", "dk_max")
+_KNOWN_TOLERANCES = ("k_star",)
+_MAX_RANGE_POINTS = 10_000
 
 Row = Tuple[str, int, str, float]  # (method, n, K_or_stat, value)
 
@@ -71,9 +72,13 @@ class ScanConfig:
             raise ConfigError(f"methods {sorted(needs_grid)} require a k_grid")
         if "nch" in self.methods and len(self.k_grid) < 5:
             raise ConfigError("the nch method needs a k_grid of at least 5 points")
-        for key in self.tolerances:
+        for key, value in self.tolerances.items():
             if key not in _KNOWN_TOLERANCES:
                 raise ConfigError(f"unknown tolerance override tol.{key}")
+            try:
+                check_tol_k(value)
+            except DomainError as err:
+                raise ConfigError(f"tol.{key}: {err}") from err
 
     def to_record(self) -> dict:
         return {
@@ -103,6 +108,8 @@ def _parse_real_list(text: str) -> List[float]:
             raise ConfigError(f"range start, step and stop must be finite, got {text!r}")
         if step <= 0:
             raise ConfigError("range step must be > 0")
+        if (stop - start) / step + 1.0 > _MAX_RANGE_POINTS:
+            raise ConfigError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
         out = []
         value = start
         # stop is inclusive up to half a step of rounding headroom
@@ -195,14 +202,14 @@ class RunManifest:
 # --------------------------------------------------------------------------
 
 def _task_greene(payload) -> List[Row]:
-    m, n, tol_k, dk_max = payload
-    k_star, _ = find_destabilization(Convergent(m, n), tol_k=tol_k, dk_max=dk_max)
+    m, n, tol_k = payload
+    k_star, _ = find_destabilization(Convergent(m, n), tol_k=tol_k)
     return [("greene", n, "K_star", k_star)]
 
 
 def _task_nch(payload) -> List[Row]:
-    m, n, grid, dk_max = payload
-    curve = nch_distance_curve(Convergent(m, n), grid, dk_max=dk_max)
+    m, n, grid = payload
+    curve = nch_distance_curve(Convergent(m, n), grid)
     return [("nch", n, _fmt(k), d) for k, d in curve.samples]
 
 
@@ -243,15 +250,14 @@ def worker_count(override: Optional[int] = None) -> int:
 
 def _build_tasks(cfg: ScanConfig):
     tol_k = cfg.tolerances.get("k_star", 1e-6)
-    dk_max = cfg.tolerances.get("dk_max", 0.05)
     tasks = []
     for method in cfg.methods:
         if method == "greene":
             for c in fibonacci_convergents(cfg.depth):
-                tasks.append((f"greene:n={c.n}", "greene", (c.m, c.n, tol_k, dk_max)))
+                tasks.append((f"greene:n={c.n}", "greene", (c.m, c.n, tol_k)))
         elif method == "nch":
             for c in fibonacci_convergents(cfg.depth):
-                tasks.append((f"nch:n={c.n}", "nch", (c.m, c.n, list(cfg.k_grid), dk_max)))
+                tasks.append((f"nch:n={c.n}", "nch", (c.m, c.n, list(cfg.k_grid))))
         elif method == "chirikov":
             for k in cfg.k_grid:
                 tasks.append((f"chirikov:K={_fmt(k)}", "chirikov", (float(k),)))

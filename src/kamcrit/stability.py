@@ -134,77 +134,66 @@ def _residue_at(branch: OrbitBranch, k: float) -> float:
     return residue(monodromy(branch.orbit_at(k)))
 
 
-def _bisect_crossing(branch: OrbitBranch, k_lo: float, k_hi: float, tol_k: float) -> float:
-    lo, hi = k_lo, k_hi
-    while hi - lo > tol_k:
-        mid = 0.5 * (lo + hi)
-        if _residue_at(branch, mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+_K_START, _K_STEP, _K_MAX = 0.25, 0.25, 4.5  # the upward walk that brackets R = 1
+
+
+def check_tol_k(tol_k: float) -> float:
+    """Validate a bisection width in K: positive and finite."""
+    tol_k = float(tol_k)
+    if not (math.isfinite(tol_k) and tol_k > 0.0):
+        raise DomainError(f"tol_k must be positive and finite, got {tol_k!r}")
+    return tol_k
 
 
 def destabilization_K(
     c: Convergent,
     line: Optional[str] = None,
     family: str = FAMILY_RATIONAL,
-    k_lo: float = 0.25,
-    k_hi: float = 4.25,
     tol_k: float = 1e-6,
 ) -> float:
-    """Stochasticity at which the orbit's residue crosses 1 (trace -> -2).
-
-    Verifies the bracket (elliptic at ``k_lo``, residue >= 1 at ``k_hi``)
-    and bisects in K, continuing the orbit to every probe.
-    """
-    branch = OrbitBranch(c, family, line=line)
-    r_lo = _residue_at(branch, k_lo)
-    if not (0.0 < r_lo < 1.0):
-        raise BracketingError(
-            f"orbit {c} not elliptic at K_lo={k_lo:g} (residue {r_lo:.6g})"
-        )
-    r_hi = _residue_at(branch, k_hi)
-    if r_hi < 1.0:
-        raise BracketingError(
-            f"orbit {c} still elliptic at K_hi={k_hi:g} (residue {r_hi:.6g})"
-        )
-    return _bisect_crossing(branch, k_lo, k_hi, tol_k)
+    """Stochasticity at which the orbit's residue crosses 1 (trace -> -2);
+    the K* of :func:`find_destabilization`."""
+    return find_destabilization(c, family, line, tol_k)[0]
 
 
 def find_destabilization(
     c: Convergent,
     family: str = FAMILY_RATIONAL,
     line: Optional[str] = None,
-    k_start: float = 0.25,
-    k_step: float = 0.25,
-    k_max: float = 4.5,
     tol_k: float = 1e-6,
-    dk_max: float = 0.05,
-    branch: Optional[OrbitBranch] = None,
 ) -> Tuple[float, dict]:
     """Walk K upward until the residue crosses 1, then bisect the crossing.
 
-    Returns (K*, info) where info records the discovered bracket and the
-    sampled residues.  Raises :class:`BracketingError` when no crossing is
-    found below ``k_max``.
+    The walk steps from ``_K_START`` by ``_K_STEP`` up to ``_K_MAX`` (0.25,
+    0.5, ..., 4.5), continuing the orbit to every probe, and the crossing is
+    bisected to width ``tol_k`` (:class:`DomainError` unless positive and
+    finite).  Returns (K*, info) where info records the bracket, the sampled
+    residues and the line.  Raises :class:`BracketingError` when no crossing
+    is found below ``_K_MAX``.
     """
-    branch = branch if branch is not None else OrbitBranch(c, family, dk_max, line)
-    k = k_start
+    tol_k = check_tol_k(tol_k)
+    branch = OrbitBranch(c, family, line)
+    k = _K_START
     r = _residue_at(branch, k)
     samples = [(k, r)]
     if r >= 1.0:
-        raise BracketingError(f"orbit {c} already non-elliptic at K_start={k_start:g}")
+        raise BracketingError(f"orbit {c} already non-elliptic at K_start={_K_START:g}")
     while True:
         k_prev, r_prev = k, r
-        k = k + k_step
-        if k > k_max:
+        k = k + _K_STEP
+        if k > _K_MAX:
             raise BracketingError(
-                f"no residue crossing below K_max={k_max:g} for {c} (last residue {r_prev:.4g})"
+                f"no residue crossing below K_max={_K_MAX:g} for {c} (last residue {r_prev:.4g})"
             )
         r = _residue_at(branch, k)
         samples.append((k, r))
         if r >= 1.0:
             break
-    k_star = _bisect_crossing(branch, k_prev, k, tol_k)
-    return k_star, {"bracket": (k_prev, k), "samples": samples, "line": branch.line}
+    lo, hi = k_prev, k
+    while hi - lo > tol_k:
+        mid = 0.5 * (lo + hi)
+        if _residue_at(branch, mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), {"bracket": (k_prev, k), "samples": samples, "line": branch.line}

@@ -245,12 +245,16 @@ EXIT_CODES = [
     (["kcrit-nch", "--depth", "1", "--k-grid", "1,2"], 2),
     (["kcrit-nch", "--depth", "1", "--k-grid", "0:1:inf"], 2),
     (["kcrit-nch", "--depth", "1", "--k-grid", "0:inf:1"], 2),
+    (["kcrit-nch", "--depth", "1", "--k-grid", "0:1e-9:1"], 2),
     (["chirikov", "--K", "-1"], 2),
     (["chirikov", "--K", "5.0"], 1),
     (["portrait", "--K", "nan", "--seeds", "2", "--iters", "2"], 2),
     (["portrait", "--K", "inf", "--seeds", "2", "--iters", "2"], 2),
+    (["portrait", "--K", "0.5", "--seeds", "(nan,1.0)", "--iters", "2"], 2),
+    (["portrait", "--K", "0.5", "--seeds", "(1.0,inf)", "--iters", "2"], 2),
     (["scan"], 2),
     (["scan", "--config", "{tmp}/fail.cfg"], 1),
+    (["scan", "--config", "{tmp}/tol0.cfg"], 2),
 ]
 
 
@@ -259,6 +263,9 @@ def test_exit_code_table(argv, code, tmp_path, capsys):
     # the scan's only task escapes, so no task succeeds
     (tmp_path / "fail.cfg").write_text(
         f"methods = chirikov\ndepth = 1\nk_grid = 5.0\noutput_dir = {tmp_path / 'run'}\n")
+    # a zero bisection width never ends a threshold search
+    (tmp_path / "tol0.cfg").write_text(
+        f"methods = greene\ndepth = 1\ntol.k_star = 0\noutput_dir = {tmp_path / 'run'}\n")
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     if code == 2:
         assert "error:" in capsys.readouterr().err

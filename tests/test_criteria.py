@@ -175,12 +175,11 @@ def test_greene_fixed_point_sequence():
     assert abs(res.k_crit - 4.0) <= 1e-5
 
 
-def test_greene_partial_failures_recorded():
+def test_greene_partial_failures_recorded(monkeypatch):
     # the fixed point destabilizes at 4, beyond this walk's ceiling; the
     # 1/2 orbit (threshold 2) still succeeds and carries the estimate
-    res = kc.greene_kcrit(
-        convergents=[kc.Convergent(0, 1), kc.Convergent(1, 2)], k_max=2.6
-    )
+    monkeypatch.setattr(kc.stability, "_K_MAX", 2.6)
+    res = kc.greene_kcrit(convergents=[kc.Convergent(0, 1), kc.Convergent(1, 2)])
     assert [n for n, _ in res.per_n] == [2]
     assert abs(res.k_crit - 2.0) <= 1e-5
     assert res.diagnostics["failures"][0]["n"] == 1
@@ -203,9 +202,9 @@ def test_greene_records_closure_refusal(monkeypatch):
 
 
 def test_greene_argument_errors_stay_usage_errors():
-    for kwargs in ({"tol_k": 0.0}, {"k_step": -0.25}, {"k_start": -1.0}, {"k_max": math.nan}):
+    for tol_k in (0.0, -1e-6, math.nan, math.inf):
         with pytest.raises(DomainError):
-            kc.greene_kcrit(depth=2, **kwargs)
+            kc.greene_kcrit(depth=2, tol_k=tol_k)
 
 
 def test_greene_result_serializes():

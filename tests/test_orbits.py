@@ -10,7 +10,6 @@ import kamcrit as kc
 from kamcrit.errors import (
     DomainError,
     OrbitNotFoundError,
-    UnsupportedParameterError,
 )
 from kamcrit.orbits import closure_residual, refine_multishoot
 
@@ -116,10 +115,9 @@ def test_orbit_invariants_points_are_iterates():
 
 
 def test_not_found_carries_scan_trace():
-    # no period-2 orbit closes with m=1 at tiny K inside a window far from p=pi
+    # at K = 6 every q-closure sign change of 8/13 on q=0 fails the full closure
     with pytest.raises(OrbitNotFoundError) as err:
-        kc.find_periodic_orbit(kc.Convergent(1, 2), 0.3, kc.LINE_Q0,
-                               p_center=0.5, p_halfwidth=1e-3)
+        kc.find_periodic_orbit(kc.Convergent(8, 13), 6.0, kc.LINE_Q0)
     assert err.value.scan_trace
 
 
@@ -323,13 +321,6 @@ def test_family_sweep_returns_failure_markers(monkeypatch):
     assert isinstance(results[2], kc.PeriodicOrbit)
 
 
-def test_alternate_j_unsupported():
-    with pytest.raises(UnsupportedParameterError):
-        kc.alternate_iterates(0.5, 1, j=2)
-    with pytest.raises(UnsupportedParameterError):
-        kc.alternate_orbit(kc.Convergent(1, 2), 0.5, j=0)
-
-
 def test_families_distinct_torus_positions():
     for depth_c in kc.fibonacci_convergents(3):
         i = kc.rational_orbit(depth_c, 0.5)
@@ -409,10 +400,15 @@ def test_continue_order5_to_transition():
     assert max(abs(rq), abs(rp)) <= 1e-9
 
 
-def test_continue_rejects_bad_dk():
-    orb = kc.rational_orbit(kc.Convergent(1, 2), 0.1)
-    with pytest.raises(DomainError):
-        kc.continue_in_K(orb, 0.5, dk_max=0.0)
+def test_branch_cache_tie_continues_from_lower_k():
+    # 0.625 is equidistant from the cached 0.5 and 0.75, as bisection midpoints are
+    branch = kc.OrbitBranch(kc.Convergent(5, 8))
+    lower = branch.orbit_at(0.5)
+    branch.orbit_at(0.75)
+    got = branch.orbit_at(0.625)
+    want = kc.continue_in_K(lower, 0.625)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.closure_error == want.closure_error
 
 
 # --- closure and winding exactness ---------------------------------------------

@@ -38,12 +38,27 @@ def test_parse_range_rejects_non_finite(grid):
         scan._parse_real_list(grid)
 
 
+def test_parse_range_caps_point_count():
+    # one value per step would take unbounded time and memory
+    with pytest.raises(ConfigError):
+        scan._parse_real_list("0:1e-12:1")
+    assert len(scan._parse_real_list("0:1e-4:0.9999")) == 10_000
+
+
 def test_parse_tolerances(tmp_path):
     text = _cfg_text(tmp_path / "o") + "tol.k_star = 1e-5\n"
     cfg = parse_scan_config(text)
     assert cfg.tolerances == {"k_star": 1e-5}
+    for bad in ("tol.bogus = 1", "tol.dk_max = 0.05"):
+        with pytest.raises(ConfigError):
+            parse_scan_config(_cfg_text(tmp_path / "o") + bad + "\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+def test_parse_rejects_bad_tolerance(tmp_path, value):
+    # tol.k_star = 0 bisected forever and nan ended the bisection at once
     with pytest.raises(ConfigError):
-        parse_scan_config(_cfg_text(tmp_path / "o") + "tol.bogus = 1\n")
+        parse_scan_config(_cfg_text(tmp_path / "o") + f"tol.k_star = {value}\n")
 
 
 def test_parse_rejects_bad_lines(tmp_path):

@@ -128,10 +128,15 @@ def test_destabilization_closed_forms():
 
 
 def test_destabilization_bracket_validation():
+    # the alternate 1/2 orbit is hyperbolic (R < 0), so the walk finds no crossing
     with pytest.raises(BracketingError):
-        kc.destabilization_K(kc.Convergent(1, 2), k_lo=0.2, k_hi=1.0)  # still elliptic at 1.0
-    with pytest.raises(BracketingError):
-        kc.destabilization_K(kc.Convergent(1, 2), k_lo=3.0, k_hi=3.5)  # not elliptic at 3.0
+        kc.destabilization_K(kc.Convergent(1, 2), family=kc.FAMILY_ALTERNATE)
+
+
+@pytest.mark.parametrize("tol_k", [0.0, -1e-6, math.nan, math.inf])
+def test_destabilization_rejects_bad_tolerance(tol_k):
+    with pytest.raises(DomainError):
+        find_destabilization(kc.Convergent(1, 2), tol_k=tol_k)
 
 
 def test_find_destabilization_walk():
