@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kcrit-greene", help="destabilization thresholds and extrapolated K_crit")
     p.add_argument("--depth", type=int, required=True,
                    help="number of Fibonacci convergents (8 reaches order 55)")
-    p.add_argument("--tol-k", type=float, default=1e-6, help="bisection width in K (default 1e-6)")
+    p.add_argument("--tol-k", type=float, default=1e-6, help="K* within tol-k/2 of R = 1 (default 1e-6)")
     p.add_argument("--out", default=None, help="output JSON file")
     p.set_defaults(func=cmd_kcrit_greene)
 

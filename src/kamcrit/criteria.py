@@ -181,13 +181,14 @@ def greene_kcrit(
     is checked up front (:class:`DomainError`); after that, an
     order that fails numerically (no bracket, a stalled continuation, an
     orbit whose closure the monodromy refuses) is recorded in
-    ``diagnostics["failures"]`` and the extrapolation uses the available tail.
+    ``diagnostics["failures"]`` and the extrapolation uses the available tail;
+    ``diagnostics["residue_evals"]`` counts each order's residue evaluations.
     """
     cs = list(convergents) if convergents is not None else fibonacci_convergents(depth)
     check_tol_k(tol_k)
     per_n: List[Tuple[int, float]] = []
     failures = []
-    brackets = {}
+    brackets, residue_evals = {}, {}
     for c in cs:
         try:
             k_star, info = find_destabilization(c, tol_k=tol_k)
@@ -197,6 +198,7 @@ def greene_kcrit(
             continue
         per_n.append((c.n, k_star))
         brackets[c.n] = info["bracket"]
+        residue_evals[c.n] = len(info["samples"])
     if not per_n:
         raise BracketingError("no destabilization threshold could be computed")
     values = [v for _, v in per_n]
@@ -205,6 +207,7 @@ def greene_kcrit(
         "extrapolation": _extrapolation_label(accelerated),
         "raw_thresholds": values,
         "brackets": brackets,
+        "residue_evals": residue_evals,
         "failures": failures,
         "tol_k": tol_k,
     }

@@ -38,7 +38,7 @@ class ContinuationError(KamcritError):
 
 
 class BracketingError(KamcritError):
-    """A bisection precondition (sign change across the bracket) failed."""
+    """No sign change of R - 1 brackets the threshold, or another bracket precondition failed."""
 
 
 class WidthMeasurementError(KamcritError):

@@ -618,8 +618,8 @@ class OrbitBranch:
     included), which is where its elliptic orbit sits.  The alternate
     family takes q=p/2 when m or n is even and q=p/2+pi otherwise, which
     carries the hyperbolic partner of that elliptic orbit.  Orbits at
-    arbitrary K are served by continuation from the nearest cached
-    stochasticity, the lower one on a tie, starting from the K = 0 circle.
+    arbitrary K are served by continuation upward from the nearest cached
+    stochasticity at or below K, starting from the K = 0 circle.
     """
 
     def __init__(self, convergent: Convergent, family: str = FAMILY_RATIONAL,
@@ -639,9 +639,9 @@ class OrbitBranch:
         if not self._cache:
             self._cache[0.0] = find_periodic_orbit(self.convergent, 0.0, self.line, family=self.family)
         if k not in self._cache:
-            # bisection midpoints tie exactly; sorted order sends a tie to the lower K
-            nearest = min(sorted(self._cache), key=lambda kk: abs(kk - k))
-            self._cache[k] = continue_in_K(self._cache[nearest], k)
+            # only upward: from an orbit past its threshold, downward can switch branch
+            below = max(kk for kk in self._cache if kk <= k)
+            self._cache[k] = continue_in_K(self._cache[below], k)
         return self._cache[k]
 
 

@@ -9,8 +9,8 @@ Config files are flat key-value text, one ``key = value`` per line with
                                  # comma-separated list of reals
     output_dir = out/run1        # relative paths resolve against the
                                  # config file's directory
-    tol.k_star = 1e-6            # optional bisection width of each K*(n)
-                                 # (positive real, default 1e-6)
+    tol.k_star = 1e-6            # optional: each K*(n) lies within half of
+                                 # it of the crossing (positive, default 1e-6)
 
 Each (method, order/K) task is independent; failures are recorded per task
 in the manifest and never stop the remaining tasks.  Worker count comes

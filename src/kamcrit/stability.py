@@ -17,10 +17,12 @@ import numpy as np
 from . import _kernels
 from .errors import BracketingError, DomainError
 from .orbits import (
+    _DK_MAX,
     FAMILY_RATIONAL,
     Convergent,
     OrbitBranch,
     PeriodicOrbit,
+    brentq,
 )
 
 ELLIPTIC = "elliptic"
@@ -130,15 +132,11 @@ def orbit_report(orbit: PeriodicOrbit) -> StabilityReport:
 # destabilization threshold
 # --------------------------------------------------------------------------
 
-def _residue_at(branch: OrbitBranch, k: float) -> float:
-    return residue(monodromy(branch.orbit_at(k)))
-
-
-_K_START, _K_STEP, _K_MAX = 0.25, 0.25, 4.5  # the upward walk that brackets R = 1
+_K_START, _K_MAX = 0.25, 4.5  # the upward walk, in steps of _DK_MAX, that brackets R = 1
 
 
 def check_tol_k(tol_k: float) -> float:
-    """Validate a bisection width in K: positive and finite."""
+    """Validate a threshold tolerance in K: positive and finite."""
     tol_k = float(tol_k)
     if not (math.isfinite(tol_k) and tol_k > 0.0):
         raise DomainError(f"tol_k must be positive and finite, got {tol_k!r}")
@@ -162,38 +160,37 @@ def find_destabilization(
     line: Optional[str] = None,
     tol_k: float = 1e-6,
 ) -> Tuple[float, dict]:
-    """Walk K upward until the residue crosses 1, then bisect the crossing.
+    """Walk K upward until the residue crosses 1, then solve for the crossing.
 
-    The walk steps from ``_K_START`` by ``_K_STEP`` up to ``_K_MAX`` (0.25,
-    0.5, ..., 4.5), continuing the orbit to every probe, and the crossing is
-    bisected to width ``tol_k`` (:class:`DomainError` unless positive and
-    finite).  Returns (K*, info) where info records the bracket, the sampled
-    residues and the line.  Raises :class:`BracketingError` when no crossing
-    is found below ``_K_MAX``.
+    The walk steps from ``_K_START`` up to ``_K_MAX`` by the continuation's
+    largest step ``_DK_MAX``, one continuation solve per probe.  The last
+    bracket is solved by :func:`brentq` on log R (on R - 1 where rounding
+    gives R <= 0, which keeps the sign), so K* lies within ``tol_k``/2 of
+    the crossing (:class:`DomainError` unless ``tol_k`` is positive and
+    finite).  Returns (K*, info): the bracket, every residue evaluation as
+    (K, R) in call order, and the line.  Raises :class:`BracketingError`
+    when the walk brackets no crossing.
     """
     tol_k = check_tol_k(tol_k)
     branch = OrbitBranch(c, family, line)
-    k = _K_START
-    r = _residue_at(branch, k)
-    samples = [(k, r)]
-    if r >= 1.0:
+    residues = {}  # K -> R in evaluation order; Brent re-reads the walk's ends
+
+    def log_residue(k: float) -> float:
+        if k not in residues:
+            residues[k] = residue(monodromy(branch.orbit_at(k)))
+        r = residues[k]
+        return math.log(r) if r > 0.0 else r - 1.0
+
+    if log_residue(_K_START) >= 0.0:
         raise BracketingError(f"orbit {c} already non-elliptic at K_start={_K_START:g}")
-    while True:
-        k_prev, r_prev = k, r
-        k = k + _K_STEP
-        if k > _K_MAX:
-            raise BracketingError(
-                f"no residue crossing below K_max={_K_MAX:g} for {c} (last residue {r_prev:.4g})"
-            )
-        r = _residue_at(branch, k)
-        samples.append((k, r))
-        if r >= 1.0:
+    for i in range(1, round((_K_MAX - _K_START) / _DK_MAX) + 1):
+        k = _K_START + i * _DK_MAX
+        if log_residue(k) >= 0.0:
             break
-    lo, hi = k_prev, k
-    while hi - lo > tol_k:
-        mid = 0.5 * (lo + hi)
-        if _residue_at(branch, mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), {"bracket": (k_prev, k), "samples": samples, "line": branch.line}
+    else:
+        raise BracketingError(
+            f"no residue crossing below K_max={_K_MAX:g} for {c} (last residue {residues[k]:.4g})"
+        )
+    bracket = (_K_START + (i - 1) * _DK_MAX, k)
+    k_star = brentq(log_residue, *bracket, xtol=0.5 * tol_k)
+    return k_star, {"bracket": bracket, "samples": list(residues.items()), "line": branch.line}

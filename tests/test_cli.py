@@ -263,7 +263,7 @@ def test_exit_code_table(argv, code, tmp_path, capsys):
     # the scan's only task escapes, so no task succeeds
     (tmp_path / "fail.cfg").write_text(
         f"methods = chirikov\ndepth = 1\nk_grid = 5.0\noutput_dir = {tmp_path / 'run'}\n")
-    # a zero bisection width never ends a threshold search
+    # a zero tolerance would ask for K* exactly at the R = 1 crossing
     (tmp_path / "tol0.cfg").write_text(
         f"methods = greene\ndepth = 1\ntol.k_star = 0\noutput_dir = {tmp_path / 'run'}\n")
     assert main([a.format(tmp=tmp_path) for a in argv]) == code

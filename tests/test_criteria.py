@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +276,23 @@ def test_criterion_result_validation():
         kc.CriterionResult("greene", -1.0, [(2, 2.0)])
     with pytest.raises(DomainError):
         kc.CriterionResult("greene", 1.0, [(2, math.nan)])
+
+
+def test_greene_counts_residue_evaluations():
+    res = kc.greene_kcrit(depth=3)
+    evals = res.diagnostics["residue_evals"]
+    assert sorted(evals) == [n for n, _ in res.per_n] == [2, 3, 5]
+    for c in kc.fibonacci_convergents(3):
+        assert evals[c.n] == len(kc.find_destabilization(c)[1]["samples"])
+
+
+def test_greene_matches_benchmark_reference():
+    # the benchmark's output check, run here so that drift from its recorded
+    # reference (read only) shows before a benchmark run fails on it
+    ref = json.loads((Path(__file__).resolve().parents[1] / "kcbench" / "reference.json").read_text())
+    res = kc.greene_kcrit(depth=11)
+    assert [n for n, _ in res.per_n] == [c.n for c in kc.fibonacci_convergents(11)]
+    for n, k_star in res.per_n:
+        assert abs(k_star - ref["greene"]["per_n"][str(n)]) <= 2e-6, n
+    want = ref["greene"]["k_crit"]["11"]
+    assert abs(res.k_crit - want) <= 2e-5 * abs(want)

@@ -401,12 +401,26 @@ def test_continue_order5_to_transition():
 
 
 def test_branch_cache_tie_continues_from_lower_k():
-    # 0.625 is equidistant from the cached 0.5 and 0.75, as bisection midpoints are
+    # 0.625 is equidistant from the cached 0.5 and 0.75; branches only
+    # continue upward, from the nearest cached K at or below
     branch = kc.OrbitBranch(kc.Convergent(5, 8))
     lower = branch.orbit_at(0.5)
     branch.orbit_at(0.75)
     got = branch.orbit_at(0.625)
     want = kc.continue_in_K(lower, 0.625)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.closure_error == want.closure_error
+
+
+def test_branch_cache_never_continues_downward():
+    # 1.0 is past K*(377) = 0.97497; continuing down from it to 0.9926 used
+    # to switch branch (R = 55.8 instead of 1864) and 0.9925 stalled
+    branch = kc.OrbitBranch(kc.Convergent(233, 377))
+    for k in (0.25, 0.5, 0.75, 1.0):
+        branch.orbit_at(k)
+    got = branch.orbit_at(0.9926)
+    branch.orbit_at(0.9925)
+    want = kc.continue_in_K(branch.orbit_at(0.75), 0.9926)
     assert got.points.tobytes() == want.points.tobytes()
     assert got.closure_error == want.closure_error
 

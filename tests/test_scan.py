@@ -56,7 +56,7 @@ def test_parse_tolerances(tmp_path):
 
 @pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
 def test_parse_rejects_bad_tolerance(tmp_path, value):
-    # tol.k_star = 0 bisected forever and nan ended the bisection at once
+    # K* must lie within tol.k_star/2 of the crossing: 0 is unreachable and nan meaningless
     with pytest.raises(ConfigError):
         parse_scan_config(_cfg_text(tmp_path / "o") + f"tol.k_star = {value}\n")
 

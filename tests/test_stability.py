@@ -121,10 +121,37 @@ def test_report_record_fields():
 # --- destabilization ----------------------------------------------------------------
 
 def test_destabilization_closed_forms():
-    k_fp = kc.destabilization_K(kc.Convergent(0, 1), line=kc.LINE_QPI)
-    assert abs(k_fp - 4.0) <= 1e-5
-    k_12 = kc.destabilization_K(kc.Convergent(1, 2))
-    assert abs(k_12 - 2.0) <= 1e-5
+    tol_k = 1e-6
+    k_fp = kc.destabilization_K(kc.Convergent(0, 1), line=kc.LINE_QPI, tol_k=tol_k)
+    assert abs(k_fp - 4.0) <= tol_k / 2
+    k_12 = kc.destabilization_K(kc.Convergent(1, 2), tol_k=tol_k)
+    assert abs(k_12 - 2.0) <= tol_k / 2
+
+
+@pytest.mark.parametrize("m, n", [(3, 5), (8, 13), (55, 89)])
+@pytest.mark.parametrize("tol_k", [1e-3, 1e-6])
+def test_destabilization_within_half_tolerance(m, n, tol_k):
+    # K* lies within tol_k/2 of the R = 1 crossing; each side is taken on a
+    # fresh branch, so no cached orbit of the search is reused
+    c = kc.Convergent(m, n)
+    k_star = kc.destabilization_K(c, tol_k=tol_k)
+    margin = tol_k / 2 + 1e-12
+
+    def r(k):
+        return kc.residue(kc.monodromy(kc.OrbitBranch(c).orbit_at(k)))
+
+    assert r(k_star - margin) < 1.0 <= r(k_star + margin)
+
+
+def test_destabilization_samples_every_residue_evaluation():
+    k_star, info = find_destabilization(kc.Convergent(3, 5))
+    ks = [k for k, _ in info["samples"]]
+    start, step = kc.stability._K_START, kc.orbits._DK_MAX
+    walk = [start + i * step for i in range(round((info["bracket"][1] - start) / step) + 1)]
+    assert ks[:len(walk)] == walk
+    assert len(ks) > len(walk) and len(set(ks)) == len(ks)
+    assert all(info["bracket"][0] < k < info["bracket"][1] for k in ks[len(walk):])
+    assert k_star in ks
 
 
 def test_destabilization_bracket_validation():
