@@ -18,7 +18,6 @@ from .errors import (
     KamcritError,
     MergeConflictError,
     NoInteriorMinimumError,
-    OrbitNotFoundError,
     RefinementError,
     UnsupportedParameterError,
     WidthMeasurementError,

@@ -25,7 +25,6 @@ from .errors import (
     ContinuationError,
     DomainError,
     NoInteriorMinimumError,
-    OrbitNotFoundError,
     RefinementError,
     WidthMeasurementError,
 )
@@ -192,8 +191,7 @@ def greene_kcrit(
     for c in cs:
         try:
             k_star, info = find_destabilization(c, tol_k=tol_k)
-        except (BracketingError, OrbitNotFoundError, RefinementError, ContinuationError,
-                DomainError) as err:
+        except (BracketingError, RefinementError, ContinuationError, DomainError) as err:
             failures.append({"n": c.n, "error": str(err)})
             continue
         per_n.append((c.n, k_star))
@@ -316,7 +314,7 @@ def nch_kcrit(
     for c in fibonacci_convergents(depth):
         try:
             curve = nch_distance_curve(c, grid)
-        except (OrbitNotFoundError, RefinementError, ContinuationError) as err:
+        except (RefinementError, ContinuationError) as err:
             failures.append({"n": c.n, "error": str(err)})
             continue
         curves[c.n] = curve.samples

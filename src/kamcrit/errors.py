@@ -13,14 +13,6 @@ class UnsupportedParameterError(KamcritError, ValueError):
     """Parameter value outside the implemented range (e.g. a map other than the standard map)."""
 
 
-class OrbitNotFoundError(KamcritError):
-    """Symmetry-line search found no bracketable periodic orbit."""
-
-    def __init__(self, message, scan_trace=None):
-        super().__init__(message)
-        self.scan_trace = scan_trace if scan_trace is not None else []
-
-
 class RefinementError(KamcritError):
     """Newton polish of an orbit failed (singular Jacobian or divergence)."""
 
@@ -38,7 +30,8 @@ class ContinuationError(KamcritError):
 
 
 class BracketingError(KamcritError):
-    """No sign change of R - 1 brackets the threshold, or another bracket precondition failed."""
+    """No sign change of R - 1 brackets the threshold, a residue is not finite,
+    or another bracket precondition failed."""
 
 
 class WidthMeasurementError(KamcritError):

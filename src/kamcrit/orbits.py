@@ -15,10 +15,11 @@ by natural-parameter continuation from the integrable K = 0 circle
 p = 2 pi m/n, each step one Newton solve on the symmetric half of the orbit:
 the mirror image of the unknowns fixes the other half and pins the point on
 the line, which removes the near-null translation mode of the cyclic
-Jacobian (its determinant is -4R, tiny for deep orders).  The 1D line search
-of :func:`find_periodic_orbit` remains for locating orbits without a branch;
-its roots come from :func:`brentq`, a Brent-Dekker solver defined here so
-that importing the package loads no scipy.
+Jacobian (its determinant is -4R, tiny for deep orders).  This is the only
+way an orbit is located: :func:`find_periodic_orbit` and
+:class:`OrbitBranch` both start from that circle.  :func:`brentq`, a
+Brent-Dekker solver defined here so that importing the package loads no
+scipy, serves the threshold search of :mod:`kamcrit.stability`.
 
 Each family's line is fixed by a parity rule of m/n.  The rational family
 takes q=0 for even n and q=pi otherwise, which carries the elliptic orbit.
@@ -37,12 +38,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    ContinuationError,
-    DomainError,
-    OrbitNotFoundError,
-    RefinementError,
-)
+from .errors import ContinuationError, DomainError, RefinementError
 from .mapcore import (
     TWO_PI,
     PhasePoint,
@@ -69,7 +65,6 @@ FAMILY_ALTERNATE = "alternate(1)"
 
 _EPS = float(np.finfo(float).eps)
 _BRENTQ_RTOL = 4.0 * _EPS
-_SCAN_SAMPLES = 2048
 _DK_MAX = 0.05  # largest continuation step in K
 
 
@@ -241,18 +236,6 @@ def _orbit_from_seed(q0: float, p0: float, c: Convergent, k: float, family: str,
     )
 
 
-def _line_residual(line: str, p: float, m: int, n: int, k: float) -> float:
-    q0, p0 = line_seed(line, p)
-    qn, _ = _kernels.final_state(q0, p0, k, n)
-    return qn - q0 - TWO_PI * m
-
-
-def _line_residual_batch(line: str, ps: np.ndarray, m: int, n: int, k: float) -> np.ndarray:
-    qs = np.zeros_like(ps) + line_seed(line, ps)[0]
-    qn, _ = _kernels.batch_final_state(qs, ps, k, n)
-    return qn - qs - TWO_PI * m
-
-
 # --------------------------------------------------------------------------
 # Euler-Lagrange Newton
 # --------------------------------------------------------------------------
@@ -416,13 +399,8 @@ def refine_newton(orbit: PeriodicOrbit, tol: float = 1e-11, max_iter: int = 30) 
 
 
 # --------------------------------------------------------------------------
-# symmetry-line search
+# root finding
 # --------------------------------------------------------------------------
-
-def _fixed_point_orbit(c: Convergent, k: float, family: str, line: str) -> PeriodicOrbit:
-    q0 = 0.0 if line in (LINE_Q0, LINE_DIAG) else math.pi
-    return _orbit_from_seed(q0, 0.0, c, k, family, line)
-
 
 def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENTQ_RTOL,
            maxiter: int = 100) -> float:
@@ -472,91 +450,40 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENTQ_RTO
     raise RuntimeError(f"brentq did not converge in {maxiter} steps")
 
 
-def _brackets_from_samples(ps: np.ndarray, gs: np.ndarray) -> List[Tuple[float, float]]:
-    sign = np.sign(gs)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    out = [(float(ps[i]), float(ps[i + 1])) for i in flips]
-    for i in np.nonzero(gs == 0.0)[0]:
-        lo = float(ps[max(i - 1, 0)])
-        hi = float(ps[min(i + 1, len(ps) - 1)])
-        if lo < hi:
-            out.append((lo, hi))
-    return out
+# --------------------------------------------------------------------------
+# orbits from the K = 0 circle
+# --------------------------------------------------------------------------
+
+def _check_family(family: str) -> str:
+    if family not in (FAMILY_RATIONAL, FAMILY_ALTERNATE):
+        raise DomainError(f"unknown family {family!r}")
+    return family
 
 
 def find_periodic_orbit(c: Convergent, k: float, line: str, family: Optional[str] = None) -> PeriodicOrbit:
-    """Locate the (m, n) periodic orbit whose representative sits on ``line``.
+    """The (m, n) orbit of ``family`` whose representative sits on ``line``.
 
-    The whole fundamental interval [0, 2*pi) of the line parameter p is
-    sampled at ``_SCAN_SAMPLES`` points; each sign change of the lifted
-    q-closure is solved by the in-module Brent solver :func:`brentq`, and
-    each root that closes to 1e-6 is polished by the symmetric-half Newton
-    that :func:`continue_in_K` steps with.  Of the distinct orbits found,
-    the one whose p lies closest to 2*pi*m/n is returned.
+    The seed is the closed-form K = 0 orbit, the circle p = 2*pi*m/n through
+    the line's point (for n = 1 the fixed point (0, 0) or (pi, 0)), and
+    :func:`continue_in_K` carries it up to ``k``.  The result therefore
+    equals ``OrbitBranch(c, family, line).orbit_at(k)`` bit for bit.  Raises
+    :class:`DomainError` for an unknown line or family and
+    :class:`ContinuationError` when the continuation stalls.
     """
-    k = check_stochasticity(k)
-    if line not in ALL_LINES:
-        raise DomainError(f"unknown symmetry line {line!r}")
-    family = family or FAMILY_RATIONAL
-    m, n = c.m, c.n
-
-    if n == 1:
-        return _fixed_point_orbit(c, k, family, line)
-    if k == 0.0:
-        p0 = TWO_PI * m / n
-        q0, _ = line_seed(line, p0)
-        return _orbit_from_seed(q0, p0, c, k, family, line)
-
-    target = TWO_PI * m / n
-    ps = np.linspace(0.0, TWO_PI, _SCAN_SAMPLES, endpoint=False)
-    gs = _line_residual_batch(line, ps, m, n, k)
-    brackets = _brackets_from_samples(ps, gs)
-    trace = {"line": line, "samples": _SCAN_SAMPLES, "g_min": float(gs.min()), "g_max": float(gs.max())}
-
-    if not brackets:
-        raise OrbitNotFoundError(
-            f"no closure sign change for {c} on {line} at K={k:g}",
-            scan_trace=[trace],
-        )
-
-    candidates: List[PeriodicOrbit] = []
-    for a, b in brackets:
-        try:
-            root = brentq(
-                lambda p: _line_residual(line, p, m, n, k),
-                a,
-                b,
-                xtol=1e-14,
-                rtol=_BRENTQ_RTOL,
-                maxiter=200,
-            )
-        except ValueError:
-            continue
-        q0, p0 = line_seed(line, float(root))
-        cand = _orbit_from_seed(q0, p0, c, k, family, line)
-        if cand.closure_error > 1e-6:
-            continue  # q-closure-only root; not a periodic point
-        try:
-            polished = _solve_symmetric(cand, k)
-        except RefinementError:
-            continue
-        if any(abs(polished.points[0, 1] - prev.points[0, 1]) < 1e-9 for prev in candidates):
-            continue
-        candidates.append(polished)
-
-    if not candidates:
-        raise OrbitNotFoundError(
-            f"no periodic root for {c} on {line} at K={k:g} "
-            f"({len(brackets)} brackets rejected)",
-            scan_trace=[trace],
-        )
-    candidates.sort(key=lambda o: abs(o.points[0, 1] - target))
-    return candidates[0]
+    family = _check_family(family or FAMILY_RATIONAL)
+    p0 = TWO_PI * c.m / c.n
+    q0, _ = line_seed(line, p0)
+    return continue_in_K(_orbit_from_seed(q0, p0, c, 0.0, family, line), k)
 
 
 # --------------------------------------------------------------------------
 # continuation
 # --------------------------------------------------------------------------
+
+def _fixed_point_orbit(c: Convergent, k: float, family: str, line: str) -> PeriodicOrbit:
+    q0 = 0.0 if line in (LINE_Q0, LINE_DIAG) else math.pi
+    return _orbit_from_seed(q0, 0.0, c, k, family, line)
+
 
 def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
     """Natural-parameter continuation of an orbit to ``k_target``.
@@ -567,8 +494,9 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
     ``LINE_NONE``.  The step adapts: it grows by 1.6 after each success up
     to ``_DK_MAX`` (0.05), halves whenever Newton fails, and stops with
     :class:`ContinuationError` (reporting the last good K) at the floor
-    1e-6, which signals an orbit collision or bifurcation.  Family and line
-    tags are preserved.
+    1e-6, which signals an orbit collision or bifurcation.  The fixed
+    points (n = 1) do not move with K and are returned in closed form.
+    Family and line tags are preserved.
     """
     k_target = check_stochasticity(k_target)
     if k_target == orbit.K:
@@ -624,18 +552,14 @@ class OrbitBranch:
 
     def __init__(self, convergent: Convergent, family: str = FAMILY_RATIONAL,
                  line: Optional[str] = None):
-        if family not in (FAMILY_RATIONAL, FAMILY_ALTERNATE):
-            raise DomainError(f"unknown family {family!r}")
         self.convergent = convergent
-        self.family = family
+        self.family = _check_family(family)
         self.line = line if line is not None else _rule_line(convergent, family)
         self._cache: Dict[float, PeriodicOrbit] = {}
 
     def orbit_at(self, k: float) -> PeriodicOrbit:
         """Orbit of this branch at stochasticity ``k`` (cached continuation)."""
         k = check_stochasticity(k)
-        if self.convergent.n == 1:
-            return _fixed_point_orbit(self.convergent, k, self.family, self.line)
         if not self._cache:
             self._cache[0.0] = find_periodic_orbit(self.convergent, 0.0, self.line, family=self.family)
         if k not in self._cache:
@@ -666,7 +590,7 @@ def rational_iterates(k: float, depth: int) -> List[Union[PeriodicOrbit, OrbitFa
     for c in fibonacci_convergents(depth):
         try:
             out.append(rational_orbit(c, k))
-        except (OrbitNotFoundError, RefinementError, ContinuationError) as err:
+        except (RefinementError, ContinuationError) as err:
             out.append(OrbitFailure(c, str(err), FAMILY_RATIONAL))
     return out
 
@@ -678,7 +602,7 @@ def alternate_iterates(k: float, depth: int) -> List[Union[PeriodicOrbit, OrbitF
     for c in fibonacci_convergents(depth):
         try:
             out.append(alternate_orbit(c, k))
-        except (OrbitNotFoundError, RefinementError, ContinuationError) as err:
+        except (RefinementError, ContinuationError) as err:
             out.append(OrbitFailure(c, str(err), FAMILY_ALTERNATE))
     return out
 

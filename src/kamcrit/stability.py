@@ -169,7 +169,8 @@ def find_destabilization(
     the crossing (:class:`DomainError` unless ``tol_k`` is positive and
     finite).  Returns (K*, info): the bracket, every residue evaluation as
     (K, R) in call order, and the line.  Raises :class:`BracketingError`
-    when the walk brackets no crossing.
+    when the walk brackets no crossing, and at the first residue that is not
+    finite (an overflowed monodromy is neither below 1 nor a crossing).
     """
     tol_k = check_tol_k(tol_k)
     branch = OrbitBranch(c, family, line)
@@ -177,7 +178,9 @@ def find_destabilization(
 
     def log_residue(k: float) -> float:
         if k not in residues:
-            residues[k] = residue(monodromy(branch.orbit_at(k)))
+            r = residues[k] = residue(monodromy(branch.orbit_at(k)))
+            if not math.isfinite(r):
+                raise BracketingError(f"non-finite residue {r} for {c} (n={c.n}) at K={k!r}")
         r = residues[k]
         return math.log(r) if r > 0.0 else r - 1.0
 

@@ -7,10 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import kamcrit as kc
-from kamcrit.errors import (
-    DomainError,
-    OrbitNotFoundError,
-)
+from kamcrit.errors import ContinuationError, DomainError
 from kamcrit.orbits import closure_residual, refine_multishoot
 
 TWO_PI = 2 * math.pi
@@ -114,11 +111,30 @@ def test_orbit_invariants_points_are_iterates():
     assert abs(last.p - orb.points[0, 1]) < 1e-9
 
 
-def test_not_found_carries_scan_trace():
-    # at K = 6 every q-closure sign change of 8/13 on q=0 fails the full closure
-    with pytest.raises(OrbitNotFoundError) as err:
-        kc.find_periodic_orbit(kc.Convergent(8, 13), 6.0, kc.LINE_Q0)
-    assert err.value.scan_trace
+def test_find_periodic_orbit_is_the_branch_orbit():
+    # one way to an orbit: the K = 0 circle carried upward.  8/13 on q=0 at
+    # K = 6 has R ~ -1.4e10: one shot of 13 steps from its first point
+    # misses by 2.7e-5, while every single-step defect stays at rounding
+    cases = [(kc.Convergent(8, 13), 6.0, kc.LINE_Q0), (kc.Convergent(0, 1), 0.7, kc.LINE_DIAG_PI)]
+    cases += [(c, k, line) for c in kc.fibonacci_convergents(4) for k in (0.0, 0.9)
+              for line in kc.orbits.ALL_LINES]
+    for c, k, line in cases:
+        got = kc.find_periodic_orbit(c, k, line)
+        want = kc.OrbitBranch(c, line=line).orbit_at(k)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert (got.K, got.family, got.line, got.closure_error) == (k, want.family, line, want.closure_error)
+    deep = kc.find_periodic_orbit(kc.Convergent(8, 13), 6.0, kc.LINE_Q0)
+    assert deep.closure_error <= 1e-12
+    assert kc.residue(kc.monodromy(deep)) < -1e9
+
+
+def test_find_periodic_orbit_rejects_unknown_family_and_line():
+    with pytest.raises(DomainError):
+        kc.find_periodic_orbit(kc.Convergent(2, 3), 0.5, kc.LINE_QPI, family="bogus")
+    with pytest.raises(DomainError):
+        kc.find_periodic_orbit(kc.Convergent(2, 3), 0.5, kc.orbits.LINE_NONE)
+    alt = kc.find_periodic_orbit(kc.Convergent(2, 3), 0.5, kc.LINE_DIAG, family=kc.FAMILY_ALTERNATE)
+    assert alt.family == kc.FAMILY_ALTERNATE
 
 
 # --- in-module Brent root finder ---------------------------------------------------
@@ -129,18 +145,18 @@ def _agrees_with_scipy(f, a, b, xtol, rtol):
     return abs(ours - ref) <= xtol + rtol * abs(ref)
 
 
-@pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (3, 8), (8, 13), (21, 34), (55, 89)])
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (2, 5), (3, 5), (3, 8), (8, 13), (21, 34), (55, 89)])
 def test_brentq_matches_scipy_on_line_residual(m, n):
-    ps = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-    checked = 0
-    for k in (0.3, 0.9):
-        for line in kc.orbits.ALL_LINES:
-            gs = kc.orbits._line_residual_batch(line, ps, m, n, k)
-            for a, b in kc.orbits._brackets_from_samples(ps, gs):
-                f = lambda p: kc.orbits._line_residual(line, p, m, n, k)
-                assert _agrees_with_scipy(f, a, b, 1e-14, kc.orbits._BRENTQ_RTOL)
-                checked += 1
-    assert checked >= 4
+    # log R of the orbit on the rational family's line, on the bracket the
+    # threshold walk hands to Brent; a fresh branch per K keeps f a pure
+    # function of K, so both solvers see the same values
+    c = kc.Convergent(m, n)
+    _, info = kc.find_destabilization(c)
+
+    def log_residue(k):
+        return math.log(kc.residue(kc.monodromy(kc.OrbitBranch(c).orbit_at(k))))
+
+    assert _agrees_with_scipy(log_residue, *info["bracket"], 1e-12, kc.orbits._BRENTQ_RTOL)
 
 
 def test_brentq_matches_scipy_on_textbook_functions():
@@ -226,6 +242,39 @@ def _mirror_defect(o):
     return float(np.abs(mirrored - (2 * c + TWO_PI * o.m - q)).max())
 
 
+def _line_search_orbit(m, n, k, line):
+    """Independent oracle: a symmetry-line search written directly against
+    the map equations (no kamcrit internals).  Each sign change of the lifted
+    q-closure over p in [0, 2*pi) is solved by scipy's brentq; of the roots
+    that also close in p to 1e-6, the one whose p lies closest to 2*pi*m/n
+    gives the orbit, as n iterates of its line point."""
+    c = 0.0 if line in (kc.LINE_Q0, kc.LINE_DIAG) else math.pi
+    slope = 0.5 if line in kc.ALTERNATE_LINES else 0.0
+
+    def iterates(p):
+        q = c + slope * p
+        out = [(q, p)]
+        for _ in range(n):
+            p = p + k * np.sin(q)
+            q = q + p
+            out.append((q, p))
+        return out
+
+    def q_closure(p):
+        pts = iterates(p)
+        return pts[-1][0] - pts[0][0] - TWO_PI * m
+
+    ps = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
+    g = q_closure(ps)
+    flips = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
+    orbits = []
+    for i in flips:
+        pts = np.array(iterates(brentq(q_closure, ps[i], ps[i + 1], xtol=1e-14, maxiter=200)))
+        if abs(pts[-1, 0] - pts[0, 0] - TWO_PI * m) <= 1e-6 and abs(pts[-1, 1] - pts[0, 1]) <= 1e-6:
+            orbits.append(pts[:-1])
+    return min(orbits, key=lambda pts: abs(pts[0, 1] - TWO_PI * m / n))
+
+
 _LINE_ORDERS = [(line, n) for line in kc.orbits.ALL_LINES for n in (3, 5, 8, 13, 21, 34)]
 
 
@@ -235,7 +284,7 @@ def test_branch_newton_matches_line_search(line, n):
     branch = kc.OrbitBranch(c, line=line)
     for k in (0.3, 0.9):
         o = branch.orbit_at(k)
-        np.testing.assert_allclose(o.points, kc.find_periodic_orbit(c, k, line).points,
+        np.testing.assert_allclose(o.points, _line_search_orbit(c.m, c.n, k, line),
                                    rtol=0, atol=1e-10)
         assert _mirror_defect(o) <= 1e-12 * np.abs(o.points[:, 0]).max()
         assert o.closure_error <= 1e-12
@@ -309,7 +358,7 @@ def test_family_sweep_returns_failure_markers(monkeypatch):
 
     def flaky(self, k):
         if self.convergent.n == 3:
-            raise OrbitNotFoundError("injected failure")
+            raise ContinuationError("injected failure")
         return real(self, k)
 
     monkeypatch.setattr(kc.OrbitBranch, "orbit_at", flaky)

@@ -160,6 +160,34 @@ def test_destabilization_bracket_validation():
         kc.destabilization_K(kc.Convergent(1, 2), family=kc.FAMILY_ALTERNATE)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_destabilization_non_finite_residue_is_a_failure(monkeypatch, bad):
+    # an overflowed monodromy gives a non-finite residue, here every residue
+    # of 3/5 past K = 0.6; it is neither "below 1" (nan, -inf) nor a
+    # crossing (+inf), so the walk stops at the first one
+    probes = []
+    real_monodromy, real_residue = kc.stability.monodromy, kc.stability.residue
+
+    def overflowing(tagged):
+        orbit, mono = tagged
+        if orbit.n != 5:
+            return real_residue(mono)
+        probes.append(orbit.K)
+        return bad if orbit.K > 0.6 else real_residue(mono)
+
+    monkeypatch.setattr(kc.stability, "monodromy", lambda orbit: (orbit, real_monodromy(orbit)))
+    monkeypatch.setattr(kc.stability, "residue", overflowing)
+    with pytest.raises(BracketingError, match="non-finite residue") as err:
+        find_destabilization(kc.Convergent(3, 5))
+    assert probes[-1] > 0.6 and max(probes[:-1]) <= 0.6
+    assert f"{bad} for 3/5 (n=5) at K={probes[-1]!r}" in str(err.value)
+
+    res = kc.greene_kcrit(depth=4)
+    assert [n for n, _ in res.per_n] == [2, 3, 8]
+    [failure] = res.diagnostics["failures"]
+    assert failure["n"] == 5 and "non-finite residue" in failure["error"]
+
+
 @pytest.mark.parametrize("tol_k", [0.0, -1e-6, math.nan, math.inf])
 def test_destabilization_rejects_bad_tolerance(tol_k):
     with pytest.raises(DomainError):
