@@ -15,7 +15,10 @@ by natural-parameter continuation from the integrable K = 0 circle
 p = 2 pi m/n, each step one Newton solve on the symmetric half of the orbit:
 the mirror image of the unknowns fixes the other half and pins the point on
 the line, which removes the near-null translation mode of the cyclic
-Jacobian (its determinant is -4R, tiny for deep orders).  This is the only
+Jacobian (its determinant is -4R, tiny for deep orders).  Newton starts
+from the tangent predictor x + dK dx/dK, and a guard refuses (and halves)
+any step whose corrector moves further than its predictor did, so a large
+step cannot carry the branch onto a neighbouring orbit.  This is the only
 way an orbit is located: :func:`find_periodic_orbit` and
 :class:`OrbitBranch` both start from that circle.  :func:`brentq`, a
 Brent-Dekker solver defined here so that importing the package loads no
@@ -65,7 +68,8 @@ FAMILY_ALTERNATE = "alternate(1)"
 
 _EPS = float(np.finfo(float).eps)
 _BRENTQ_RTOL = 4.0 * _EPS
-_DK_MAX = 0.05  # largest continuation step in K
+_DK_MAX = 0.25  # largest continuation step in K
+_GUARD_RATIO = 1.0  # largest accepted corrector move over predictor move
 
 
 def line_seed(line: str, p: float) -> Tuple[float, float]:
@@ -288,6 +292,11 @@ def _cyclic_thomas(diag: List[float], rhs: List[float]) -> List[float]:
     return [yi - f * zi for yi, zi in zip(y, z)]
 
 
+def _sup(v: np.ndarray) -> float:
+    """Max norm, 0 for an empty vector."""
+    return float(np.abs(v).max()) if v.size else 0.0
+
+
 def _newton(x: np.ndarray, assemble, solve, tol: float, max_iter: int, what: str) -> np.ndarray:
     """Newton on the Euler-Lagrange residual; returns the full angle sequence.
 
@@ -298,7 +307,7 @@ def _newton(x: np.ndarray, assemble, solve, tol: float, max_iter: int, what: str
     history = []
     for _ in range(max_iter):
         q, e, diag = assemble(x)
-        err = float(np.abs(e).max()) if e.size else 0.0
+        err = _sup(e)
         history.append(err)
         if err <= max(tol, 16.0 * _EPS * float(np.abs(q).max())):
             return q.copy()
@@ -341,8 +350,8 @@ def refine_multishoot(orbit: PeriodicOrbit, tol: float = 1e-12, max_iter: int = 
     return _orbit_from_angles(q, orbit, k)
 
 
-def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_iter: int = 12) -> PeriodicOrbit:
-    """Newton on the symmetric half of ``guess``'s orbit at stochasticity ``k``.
+def _half_layout(orbit: PeriodicOrbit) -> Tuple[float, int, int, bool, np.ndarray]:
+    """(c, first, h, pinned, fold) of the symmetric half of ``orbit`` on its line.
 
     On q=c (c = 0 or pi), q_0 = c and q_{n-i} = 2c + 2*pi*m - q_i: the
     unknowns are q_1 ... q_{(n-1)//2}; an even n pins q_{n/2} = c + pi*m, an
@@ -350,38 +359,68 @@ def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_ite
     q=p/2+c, q_{n-1-i} = 2c + 2*pi*m - q_i: the unknowns are
     q_0 ... q_{n//2-1}, q_{-1} = 2c - q_0 mirrors into the first diagonal, an
     odd n pins q_{(n-1)/2} = c + pi*m, and an even n mirrors the last one.
+    ``fold`` holds those mirror terms of the Jacobian diagonal.
     """
-    line, m, n = guess.line, guess.m, guess.n
+    line, n = orbit.line, orbit.n
     c = 0.0 if line in (LINE_Q0, LINE_DIAG) else math.pi
     on_q = line in RATIONAL_LINES
     first = 1 if on_q else 0
     h = (n - 1) // 2 if on_q else n // 2
     pinned = (n % 2 == 0) == on_q
-    q = np.empty(n)
-    q[0] = c
-    if pinned:
-        q[first + h] = c + math.pi * m
     fold = np.zeros(h)
     if h and not on_q:
         fold[0] -= 1.0
     if h and not pinned:
         fold[-1] -= 1.0
+    return c, first, h, pinned, fold
+
+
+def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_iter: int = 12,
+                     x0: Optional[np.ndarray] = None) -> PeriodicOrbit:
+    """Newton on the symmetric half of ``guess``'s orbit at stochasticity ``k``,
+    started from the unknowns ``x0`` (by default ``guess``'s own angles)."""
+    line, m, n = guess.line, guess.m, guess.n
+    c, first, h, pinned, fold = _half_layout(guess)
+    q = np.empty(n)
+    q[0] = c
+    if pinned:
+        q[first + h] = c + math.pi * m
 
     def assemble(x):
         q[first:first + h] = x
         q[n - h:] = (2.0 * c + TWO_PI * m - x)[::-1]
         return q, _el_residual(q, m, k)[first:first + h], -2.0 - k * np.cos(x) + fold
 
-    x0 = np.array(guess.points[first:first + h, 0], dtype=float)
+    if x0 is None:
+        x0 = np.array(guess.points[first:first + h, 0], dtype=float)
     q = _newton(x0, assemble, _thomas, tol, max_iter, f"{guess.convergent} on {line} at K={k:g}")
     return _orbit_from_angles(q, guess, k)
 
 
-def _solve_near(prev: PeriodicOrbit, k: float, tol: float = 1e-12, max_iter: int = 12) -> PeriodicOrbit:
-    """Re-solve ``prev``'s orbit at stochasticity ``k``, starting Newton from its angles."""
-    if prev.line == LINE_NONE:
-        return refine_multishoot(replace(prev, K=k), tol, max_iter)
-    return _solve_symmetric(prev, k, tol, max_iter)
+def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]:
+    """``prev``'s orbit re-solved at ``k``, or None when the step is refused.
+
+    On a symmetry line Newton starts from the tangent predictor
+    x_pred = x + (k - K) t on the symmetric half, where J t = sin x is one
+    Thomas pass with the Jacobian J at ``prev.K``.  The corrected x_new is
+    kept only when |x_new - x_pred| <= _GUARD_RATIO |x_pred - x| in max
+    norm: a corrector that moves further than the predictor has left the
+    branch (Allgower & Georg, Numerical Continuation Methods).  A
+    ``LINE_NONE`` orbit starts Newton on the full cyclic system from its own
+    angles, unguarded.  A Newton failure is a refusal too.
+    """
+    try:
+        if prev.line == LINE_NONE:
+            return refine_multishoot(replace(prev, K=k), 1e-12, 12)
+        _, first, h, _, fold = _half_layout(prev)
+        x = prev.points[first:first + h, 0]  # empty (h = 0) for n = 2 on q=0 or q=pi
+        t = np.array(_thomas((-2.0 - prev.K * np.cos(x) + fold).tolist(), np.sin(x).tolist())) if h else x
+        x_pred = x + (k - prev.K) * t
+        nxt = _solve_symmetric(prev, k, x0=x_pred)
+    except (RefinementError, ZeroDivisionError):
+        return None
+    x_new = nxt.points[first:first + h, 0]
+    return nxt if _sup(x_new - x_pred) <= _GUARD_RATIO * _sup(x_pred - x) else None
 
 
 def refine_newton(orbit: PeriodicOrbit, tol: float = 1e-11, max_iter: int = 30) -> PeriodicOrbit:
@@ -395,7 +434,9 @@ def refine_newton(orbit: PeriodicOrbit, tol: float = 1e-11, max_iter: int = 30) 
     """
     if _step_defect(orbit.points, orbit.m, orbit.K) <= tol:
         return orbit
-    return _solve_near(orbit, orbit.K, tol, max_iter)
+    if orbit.line == LINE_NONE:
+        return refine_multishoot(orbit, tol, max_iter)
+    return _solve_symmetric(orbit, orbit.K, tol, max_iter)
 
 
 # --------------------------------------------------------------------------
@@ -489,14 +530,18 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
     """Natural-parameter continuation of an orbit to ``k_target``.
 
     Each step is one Newton solve of the Euler-Lagrange equations at the
-    next K, started from the current angles: on the orbit's symmetric half
-    for the four symmetry lines, on the full cyclic system for
-    ``LINE_NONE``.  The step adapts: it grows by 1.6 after each success up
-    to ``_DK_MAX`` (0.05), halves whenever Newton fails, and stops with
-    :class:`ContinuationError` (reporting the last good K) at the floor
-    1e-6, which signals an orbit collision or bifurcation.  The fixed
-    points (n = 1) do not move with K and are returned in closed form.
-    Family and line tags are preserved.
+    next K.  On the four symmetry lines it runs on the orbit's symmetric
+    half and starts from the tangent predictor x + dK t (J t = sin x at the
+    current K); the step is refused when the corrector lands further from
+    the predictor than the predictor is from x, which is how a switch to a
+    neighbouring orbit shows (:func:`_continuation_step`).  ``LINE_NONE``
+    orbits take an unguarded step on the full cyclic system from the
+    current angles.  The step adapts: it grows by 1.6 after each accepted
+    step up to ``_DK_MAX``, halves whenever Newton fails or the guard
+    refuses, and stops with :class:`ContinuationError` (reporting the last
+    good K) at the floor 1e-6, which signals an orbit collision or
+    bifurcation.  The fixed points (n = 1) do not move with K and are
+    returned in closed form.  Family and line tags are preserved.
     """
     k_target = check_stochasticity(k_target)
     if k_target == orbit.K:
@@ -511,9 +556,8 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
         k_next = current.K + direction * dk
         if (direction > 0 and k_next > k_target) or (direction < 0 and k_next < k_target):
             k_next = k_target
-        try:
-            nxt = _solve_near(current, k_next)
-        except RefinementError:
+        nxt = _continuation_step(current, k_next)
+        if nxt is None:
             dk *= 0.5
             if dk < 1e-6:
                 raise ContinuationError(
@@ -546,8 +590,11 @@ class OrbitBranch:
     included), which is where its elliptic orbit sits.  The alternate
     family takes q=p/2 when m or n is even and q=p/2+pi otherwise, which
     carries the hyperbolic partner of that elliptic orbit.  Orbits at
-    arbitrary K are served by continuation upward from the nearest cached
-    stochasticity at or below K, starting from the K = 0 circle.
+    arbitrary K are served by guarded predictor-corrector continuation
+    (:func:`continue_in_K`) upward from the nearest cached stochasticity at
+    or below K, starting from the K = 0 circle.  Past K*(n) several orbits
+    can sit close together on the line; the guard keeps a climb on the one
+    reached by small steps, whichever cached K it starts from.
     """
 
     def __init__(self, convergent: Convergent, family: str = FAMILY_RATIONAL,

@@ -163,7 +163,9 @@ def find_destabilization(
     """Walk K upward until the residue crosses 1, then solve for the crossing.
 
     The walk steps from ``_K_START`` up to ``_K_MAX`` by the continuation's
-    largest step ``_DK_MAX``, one continuation solve per probe.  The last
+    largest step ``_DK_MAX``, so its probes fall at K = 0.25, 0.5, 0.75,
+    1.0, ...  and each costs one guarded predictor-corrector step unless the
+    guard of :func:`kamcrit.orbits.continue_in_K` halves it.  The last
     bracket is solved by :func:`brentq` on log R (on R - 1 where rounding
     gives R <= 0, which keeps the sign), so K* lies within ``tol_k``/2 of
     the crossing (:class:`DomainError` unless ``tol_k`` is positive and

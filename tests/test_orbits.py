@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import replace
@@ -472,6 +473,50 @@ def test_branch_cache_never_continues_downward():
     want = kc.continue_in_K(branch.orbit_at(0.75), 0.9926)
     assert got.points.tobytes() == want.points.tobytes()
     assert got.closure_error == want.closure_error
+
+
+@functools.lru_cache(maxsize=None)
+def _fine_climb(m, n, family, k):
+    """The branch at K = 0.80 carried to ``k`` in steps of 0.005."""
+    orbit = kc.OrbitBranch(kc.Convergent(m, n), family).orbit_at(0.80)
+    for kk in np.linspace(0.80, k, round((k - 0.80) / 0.005) + 1)[1:]:
+        orbit = kc.continue_in_K(orbit, float(kk))
+    return orbit
+
+
+@pytest.mark.parametrize("k0", [0.0, 0.75, 0.875, 0.9375, 0.95])
+def test_upward_continuation_stays_on_branch(k0):
+    # 233/377 on q=pi has at least three orbits at K = 1.0 (R = 21980, 40040
+    # and 44695); only the last continues back down the branch (R = 1864 at
+    # 0.9926).  Unguarded steps from 0, 0.75 and 0.95 landed on R = 21980
+    want = _fine_climb(233, 377, kc.FAMILY_RATIONAL, 1.0)
+    got = kc.continue_in_K(kc.OrbitBranch(kc.Convergent(233, 377)).orbit_at(k0), 1.0)
+    assert np.abs(got.points - want.points).max() <= 1e-8
+    assert kc.residue(kc.monodromy(got)) == pytest.approx(44695.2, rel=1e-5)
+
+
+@pytest.mark.parametrize("m, n, family, k", [
+    (55, 89, kc.FAMILY_RATIONAL, 1.1),
+    (377, 610, kc.FAMILY_RATIONAL, 1.0),
+    (144, 233, kc.FAMILY_ALTERNATE, 1.0),
+])
+def test_fresh_branch_matches_fine_climb(m, n, family, k):
+    # past K*(n) a fresh branch climbed in unguarded steps ended 0.16-0.89 rad
+    # away from the same branch climbed in steps of 0.005
+    got = kc.OrbitBranch(kc.Convergent(m, n), family).orbit_at(k)
+    want = _fine_climb(m, n, family, k)
+    assert np.abs(got.points - want.points).max() <= 1e-8
+
+
+def test_guard_refuses_a_step_onto_another_branch(monkeypatch):
+    # the predicted step of 233/377 from 0.875 to 1.0 corrects onto the
+    # R = 21980 orbit, 1.69 times further from the predictor than the
+    # predictor moved; continue_in_K halves it instead
+    start = kc.OrbitBranch(kc.Convergent(233, 377)).orbit_at(0.875)
+    assert kc.orbits._continuation_step(start, 1.0) is None
+    monkeypatch.setattr(kc.orbits, "_GUARD_RATIO", math.inf)
+    unguarded = kc.orbits._continuation_step(start, 1.0)
+    assert kc.residue(kc.monodromy(unguarded)) == pytest.approx(21980.0, rel=1e-4)
 
 
 # --- closure and winding exactness ---------------------------------------------

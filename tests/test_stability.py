@@ -221,10 +221,13 @@ def test_destabilization_order_987():
 @pytest.mark.parametrize("m, n, line, lo, hi", [
     (987, 1597, kc.LINE_QPI, 0.9722, 0.9726),
     (1597, 2584, kc.LINE_Q0, 0.9719, 0.9723),
+    (2584, 4181, kc.LINE_QPI, 0.9719254, 0.9719274),
 ])
 def test_destabilization_deep_orders(m, n, line, lo, hi):
     # the symmetric-half Newton reaches past 987, where dense multiple
-    # shooting stalled (n = 1597 stopped near K = 0.950)
+    # shooting stalled (n = 1597 stopped near K = 0.950); at n = 4181 the
+    # walk's top probe K = 1.0 holds R ~ 1.7e59, still finite
     k_star, info = kc.find_destabilization(kc.Convergent(m, n))
     assert lo <= k_star <= hi
     assert info["line"] == line
+    assert all(math.isfinite(r) for _, r in info["samples"])
