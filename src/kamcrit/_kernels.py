@@ -1,8 +1,10 @@
 """Hot inner loops of the standard map.
 
-Scalar kernels are plain python loops; the batched ones vectorise over the
-batch with numpy and loop over the steps.  :func:`backend` names the
-build: always ``"numpy"``.
+Scalar kernels are plain python loops on python floats with ``math``
+bound locally; arrays are read with ``tolist()`` and built once, as numpy
+indexing per step costs more than the step.  The batched kernels vectorise
+over the batch with numpy and loop over the steps.  :func:`backend` names
+the build: always ``"numpy"``.
 
 All kernels work on lifted (unwrapped) coordinates and never reduce to the
 torus; callers wrap for display only.
@@ -36,15 +38,13 @@ def final_state(q, p, k, nsteps):
 
 def trajectory(q, p, k, nsteps):
     """Lifted trajectory including the start point: shape (nsteps + 1, 2)."""
-    out = np.empty((nsteps + 1, 2))
-    out[0, 0] = q
-    out[0, 1] = p
-    for i in range(nsteps):
-        p = p + k * math.sin(q)
+    sin = math.sin
+    out = [q, p]
+    for _ in range(nsteps):
+        p = p + k * sin(q)
         q = q + p
-        out[i + 1, 0] = q
-        out[i + 1, 1] = p
-    return out
+        out += (q, p)
+    return np.array(out, dtype=float).reshape(nsteps + 1, 2)
 
 
 def monodromy_product(qs, k):
@@ -55,13 +55,14 @@ def monodromy_product(qs, k):
     rounding, so det_prod tracks symplecticity without the catastrophic
     cancellation the accumulated matrix suffers for strongly unstable orbits.
     """
+    cos = math.cos
     m11 = 1.0
     m12 = 0.0
     m21 = 0.0
     m22 = 1.0
     det = 1.0
-    for i in range(qs.shape[0]):
-        c = k * math.cos(qs[i])
+    for q in qs.tolist():
+        c = k * cos(q)
         a = 1.0 + c
         n11 = a * m11 + m21
         n12 = a * m12 + m22
@@ -93,18 +94,25 @@ def max_p_deviation(q, p, k, nsteps, p_ref, cap):
     """Max |p - p_ref| along the trajectory, stopping early past ``cap``.
 
     Returns (deviation, steps_done, escaped).  ``cap <= 0`` disables the
-    escape check.
+    escape check.  Rounded subtraction is monotone, so |p - p_ref| peaks at
+    an end of the range [lo, hi] of p: only a step that widens it (or the
+    first step) can change the deviation or the verdict.
     """
-    best = abs(p - p_ref)
+    sin = math.sin
+    lo = hi = p
     for i in range(nsteps):
-        p = p + k * math.sin(q)
+        p = p + k * sin(q)
         q = q + p
-        dev = abs(p - p_ref)
-        if dev > best:
-            best = dev
+        if p > hi:
+            hi = p
+        elif p < lo:
+            lo = p
+        elif i:
+            continue
+        best = max(abs(hi - p_ref), abs(lo - p_ref))
         if cap > 0.0 and best >= cap:
             return best, i + 1, True
-    return best, nsteps, False
+    return max(abs(hi - p_ref), abs(lo - p_ref)), nsteps, False
 
 
 def batch_final_state(qs, ps, k, nsteps):

@@ -225,15 +225,9 @@ def torus_distance(a, b) -> float:
     return math.hypot(dq, dp)
 
 
-def match_elliptic_points(a: PeriodicOrbit, b: PeriodicOrbit) -> List[Tuple[int, int, float]]:
-    """Minimum-weight matching of two orbits' points on the torus metric.
-
-    Solved exactly by the assignment algorithm, so it coincides with the
-    exhaustive permutation optimum at every order (a globally-smallest-first
-    greedy pass strands wrap-around leftovers already at order 8).  Each
-    point is matched exactly once; pairs come back sorted by the first
-    orbit's index.
-    """
+def _assignment(a: PeriodicOrbit, b: PeriodicOrbit) -> Tuple[np.ndarray, np.ndarray]:
+    """(columns, costs) of the minimum-weight matching of ``a``'s points, in
+    index order, to ``b``'s on the torus metric."""
     # imported here: scipy.optimize would otherwise be most of ``import kamcrit``
     from scipy.optimize import linear_sum_assignment
 
@@ -244,10 +238,21 @@ def match_elliptic_points(a: PeriodicOrbit, b: PeriodicOrbit) -> List[Tuple[int,
     dq = wrap_angle(pa[:, 0][:, None] - pb[:, 0][None, :])
     dp = wrap_angle(pa[:, 1][:, None] - pb[:, 1][None, :])
     dist = np.hypot(dq, dp)
-    rows, cols = linear_sum_assignment(dist)
-    pairs = [(int(i), int(j), float(dist[i, j])) for i, j in zip(rows, cols)]
-    pairs.sort(key=lambda t: t[0])
-    return pairs
+    rows, cols = linear_sum_assignment(dist)  # rows of a square matrix come back as 0 ... n-1
+    return cols, dist[rows, cols]
+
+
+def match_elliptic_points(a: PeriodicOrbit, b: PeriodicOrbit) -> List[Tuple[int, int, float]]:
+    """Minimum-weight matching of two orbits' points on the torus metric.
+
+    Solved exactly by the assignment algorithm, so it coincides with the
+    exhaustive permutation optimum at every order (a globally-smallest-first
+    greedy pass strands wrap-around leftovers already at order 8).  Each
+    point is matched exactly once; pairs come back sorted by the first
+    orbit's index.
+    """
+    cols, costs = _assignment(a, b)
+    return [(i, int(j), float(d)) for i, (j, d) in enumerate(zip(cols, costs))]
 
 
 def _pair_branches(c: Convergent) -> Tuple[OrbitBranch, OrbitBranch]:
@@ -260,7 +265,7 @@ def nch_distance(n: int, k: float) -> float:
     rational, alternate = _pair_branches(c)
     a = rational.orbit_at(k)
     b = alternate.orbit_at(k)
-    return min(d for _, _, d in match_elliptic_points(a, b))
+    return float(_assignment(a, b)[1].min())
 
 
 def _convergent_for_order(n: int) -> Convergent:
@@ -285,8 +290,7 @@ def nch_distance_curve(
     for k in k_grid:
         a = rational.orbit_at(float(k))
         b = alternate.orbit_at(float(k))
-        d = min(dd for _, _, dd in match_elliptic_points(a, b))
-        samples.append((float(k), float(d)))
+        samples.append((float(k), float(_assignment(a, b)[1].min())))
     return DistanceCurve(n=c.n, samples=samples)
 
 

@@ -15,12 +15,13 @@ by natural-parameter continuation from the integrable K = 0 circle
 p = 2 pi m/n, each step one Newton solve on the symmetric half of the orbit:
 the mirror image of the unknowns fixes the other half and pins the point on
 the line, which removes the near-null translation mode of the cyclic
-Jacobian (its determinant is -4R, tiny for deep orders).  Newton starts
-from the tangent predictor x + dK dx/dK, and a guard refuses (and halves)
-any step whose corrector moves further than its predictor did, so a large
-step cannot carry the branch onto a neighbouring orbit.  This is the only
-way an orbit is located: :func:`find_periodic_orbit` and
-:class:`OrbitBranch` both start from that circle.  :func:`brentq`, a
+Jacobian (its determinant is -4R, tiny for deep orders).  The residual is
+evaluated on the unknowns alone and the n angles are built once, at
+convergence.  Newton starts from the tangent predictor x + dK dx/dK, and a
+guard refuses (and halves) any step whose corrector moves further than its
+predictor did, so a large step cannot carry the branch onto a neighbouring
+orbit.  This is the only way an orbit is located: :func:`find_periodic_orbit`
+and :class:`OrbitBranch` both start from that circle.  :func:`brentq`, a
 Brent-Dekker solver defined here so that importing the package loads no
 scipy, serves the threshold search of :mod:`kamcrit.stability`.
 
@@ -248,15 +249,14 @@ def _step_defect(points: np.ndarray, m: int, k: float) -> float:
     """Max-norm defect of T(x_i) - x_{i+1}, the last step wrapping to x_0 + (2*pi*m, 0)."""
     q, p = points[:, 0], points[:, 1]
     p1 = p + k * np.sin(q)
-    dq = np.append(q[1:], q[0] + TWO_PI * m) - (q + p1)
-    dp = np.append(p[1:], p[0]) - p1
-    return float(max(np.abs(dq).max(), np.abs(dp).max()))
+    nxt = np.empty(points.shape)
+    nxt[:-1], nxt[-1] = points[1:], (q[0] + TWO_PI * m, p[0])
+    return float(max(np.abs(nxt[:, 0] - (q + p1)).max(), np.abs(nxt[:, 1] - p1).max()))
 
 
-def _el_residual(q: np.ndarray, m: int, k: float) -> np.ndarray:
-    """E_i = q_{i+1} - 2 q_i + q_{i-1} - K sin q_i with q_{i+n} = q_i + 2*pi*m."""
-    wrap = TWO_PI * m
-    return np.append(q[1:], q[0] + wrap) - 2.0 * q + np.append(q[-1] - wrap, q[:-1]) - k * np.sin(q)
+def _el_residual(b: np.ndarray, x: np.ndarray, k: float) -> np.ndarray:
+    """E_i = q_{i+1} - 2 q_i + q_{i-1} - K sin q_i on x = b[1:-1], between b[0] and b[-1]."""
+    return b[2:] - 2.0 * x + b[:-2] - k * np.sin(x)
 
 
 def _thomas(diag: List[float], rhs: List[float]) -> List[float]:
@@ -298,19 +298,20 @@ def _sup(v: np.ndarray) -> float:
 
 
 def _newton(x: np.ndarray, assemble, solve, tol: float, max_iter: int, what: str) -> np.ndarray:
-    """Newton on the Euler-Lagrange residual; returns the full angle sequence.
+    """Newton on the Euler-Lagrange residual of the unknowns ``x``; returns them converged.
 
-    ``assemble(x)`` gives (all n angles, residual on the unknowns, Jacobian
-    diagonal).  Converged means max|E| <= max(tol, 16*eps*max|q|): deep
-    orders lift q to ~1e4, where one ulp of q already exceeds 1e-12.
+    ``assemble(x)`` gives (residual on the unknowns, Jacobian diagonal, max|q|
+    over all n angles of the orbit they define).  Converged means
+    max|E| <= max(tol, 16*eps*max|q|): deep orders lift q to ~1e4, where one
+    ulp of q already exceeds 1e-12.
     """
     history = []
     for _ in range(max_iter):
-        q, e, diag = assemble(x)
+        e, diag, qmax = assemble(x)
         err = _sup(e)
         history.append(err)
-        if err <= max(tol, 16.0 * _EPS * float(np.abs(q).max())):
-            return q.copy()
+        if err <= max(tol, 16.0 * _EPS * qmax):
+            return x
         try:
             x = x - np.array(solve(diag.tolist(), e.tolist()))
         except ZeroDivisionError as exc:
@@ -320,8 +321,10 @@ def _newton(x: np.ndarray, assemble, solve, tol: float, max_iter: int, what: str
 
 def _orbit_from_angles(q: np.ndarray, like: PeriodicOrbit, k: float) -> PeriodicOrbit:
     """Orbit with points (q_i, q_i - q_{i-1}) and its measured closure."""
-    p = np.diff(q, prepend=q[-1] - TWO_PI * like.m)
-    points = np.column_stack([q, p])
+    points = np.empty((len(q), 2))
+    points[:, 0] = q
+    points[0, 1] = q[0] - (q[-1] - TWO_PI * like.m)
+    points[1:, 1] = q[1:] - q[:-1]
     return replace(like, points=points, K=k, closure_error=_step_defect(points, like.m, k))
 
 
@@ -343,7 +346,8 @@ def refine_multishoot(orbit: PeriodicOrbit, tol: float = 1e-12, max_iter: int = 
         return replace(orbit, closure_error=err)
 
     def assemble(q):
-        return q, _el_residual(q, m, k), -2.0 - k * np.cos(q)
+        b = np.concatenate(([q[-1] - TWO_PI * m], q, [q[0] + TWO_PI * m]))
+        return _el_residual(b, q, k), -2.0 - k * np.cos(q), float(np.abs(q).max())
 
     q0 = np.array(orbit.points[:, 0], dtype=float)
     q = _newton(q0, assemble, _cyclic_thomas, tol, max_iter, f"{orbit.convergent} at K={k:g}")
@@ -378,22 +382,29 @@ def _half_layout(orbit: PeriodicOrbit) -> Tuple[float, int, int, bool, np.ndarra
 def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_iter: int = 12,
                      x0: Optional[np.ndarray] = None) -> PeriodicOrbit:
     """Newton on the symmetric half of ``guess``'s orbit at stochasticity ``k``,
-    started from the unknowns ``x0`` (by default ``guess``'s own angles)."""
-    line, m, n = guess.line, guess.m, guess.n
+    started from the unknowns ``x0`` (by default ``guess``'s own angles).
+    The residual is taken on the h unknowns alone, between neighbours that
+    are c, the pin c + pi*m or a mirror a - x (a = 2c + 2*pi*m); the n
+    angles are built once, at convergence."""
+    line, m = guess.line, guess.m
     c, first, h, pinned, fold = _half_layout(guess)
-    q = np.empty(n)
-    q[0] = c
-    if pinned:
-        q[first + h] = c + math.pi * m
+    a, pin = 2.0 * c + TWO_PI * m, c + math.pi * m
+    # max|q| of the angles the line fixes; max|a - x| is at min x or max x, as rounding is monotone
+    qfix = max(abs(c) if first else 0.0, abs(pin) if pinned else 0.0)
+    b = np.empty(h + 2)
 
     def assemble(x):
-        q[first:first + h] = x
-        q[n - h:] = (2.0 * c + TWO_PI * m - x)[::-1]
-        return q, _el_residual(q, m, k)[first:first + h], -2.0 - k * np.cos(x) + fold
+        b[0] = c if first else (a - x[0]) - TWO_PI * m
+        b[1:-1] = x
+        b[-1] = pin if pinned else a - x[-1]
+        lo, hi = x.min(), x.max()
+        qmax = max(qfix, abs(lo), abs(hi), abs(a - lo), abs(a - hi))
+        return _el_residual(b, x, k), -2.0 - k * np.cos(x) + fold, qmax
 
-    if x0 is None:
-        x0 = np.array(guess.points[first:first + h, 0], dtype=float)
-    q = _newton(x0, assemble, _thomas, tol, max_iter, f"{guess.convergent} on {line} at K={k:g}")
+    x = np.array(guess.points[first:first + h, 0], dtype=float) if x0 is None else x0
+    if h:  # otherwise (n = 1, or n = 2 on q=0 or q=pi) the line fixes the orbit
+        x = _newton(x, assemble, _thomas, tol, max_iter, f"{guess.convergent} on {line} at K={k:g}")
+    q = np.concatenate(([c] * first, x, [pin] * pinned, (a - x)[::-1]))
     return _orbit_from_angles(q, guess, k)
 
 
@@ -521,11 +532,6 @@ def find_periodic_orbit(c: Convergent, k: float, line: str, family: Optional[str
 # continuation
 # --------------------------------------------------------------------------
 
-def _fixed_point_orbit(c: Convergent, k: float, family: str, line: str) -> PeriodicOrbit:
-    q0 = 0.0 if line in (LINE_Q0, LINE_DIAG) else math.pi
-    return _orbit_from_seed(q0, 0.0, c, k, family, line)
-
-
 def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
     """Natural-parameter continuation of an orbit to ``k_target``.
 
@@ -540,14 +546,15 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
     step up to ``_DK_MAX``, halves whenever Newton fails or the guard
     refuses, and stops with :class:`ContinuationError` (reporting the last
     good K) at the floor 1e-6, which signals an orbit collision or
-    bifurcation.  The fixed points (n = 1) do not move with K and are
-    returned in closed form.  Family and line tags are preserved.
+    bifurcation.  The fixed points (n = 1) and the 1/2 orbit (c, c + pi) on
+    q=c do not move with K and are returned in closed form.  Family and
+    line tags are preserved.
     """
     k_target = check_stochasticity(k_target)
     if k_target == orbit.K:
         return orbit
-    if orbit.n == 1:
-        return _fixed_point_orbit(orbit.convergent, k_target, orbit.family, orbit.line)
+    if orbit.n == 1 or (orbit.n == 2 and orbit.line in RATIONAL_LINES):
+        return _solve_symmetric(orbit, k_target)  # no unknowns: the line fixes every angle
 
     current = orbit
     dk = min(_DK_MAX, abs(k_target - orbit.K))

@@ -82,8 +82,7 @@ def monodromy(orbit: PeriodicOrbit) -> Monodromy:
         raise DomainError(
             f"orbit closure {orbit.closure_error:g} exceeds 1e-9; refine before taking the monodromy"
         )
-    qs = np.ascontiguousarray(orbit.points[:, 0])
-    m11, m12, m21, m22, det_prod = _kernels.monodromy_product(qs, orbit.K)
+    m11, m12, m21, m22, det_prod = _kernels.monodromy_product(orbit.points[:, 0], orbit.K)
     return Monodromy(
         matrix=np.array([[m11, m12], [m21, m22]]),
         n=orbit.n,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,6 +37,20 @@ def test_orbit_period2(tmp_path, capsys):
     assert fields["classification"] == "elliptic"
     rec = json.loads(out.read_text())
     np.testing.assert_allclose(rec["points"], [[0, math.pi], [math.pi, math.pi]], atol=1e-10)
+
+
+def test_orbit_period2_at_huge_k_is_immediate(monkeypatch, capsys):
+    # the README's 1/2 orbit is closed-form on q=0; walked from K = 0 in
+    # steps of 0.25 it took 12 000 steps to K = 3000 and 4e6 to K = 1e6
+    def no_step(prev, k):
+        raise AssertionError(f"continuation step to K={k}")
+
+    monkeypatch.setattr(kamcrit.orbits, "_continuation_step", no_step)
+    start = time.perf_counter()
+    assert main(["orbit", "--m", "1", "--n", "2", "--K", "1e6"]) == 0
+    assert time.perf_counter() - start < 1.0
+    fields = _kv(_last_line(capsys))
+    assert float(fields["residue"]) == pytest.approx(1e12 / 4, rel=1e-9)
 
 
 def test_orbit_csv_output(tmp_path):

@@ -11,9 +11,10 @@ def test_backend_reported():
 
 def test_trajectory_matches_final_state():
     traj = _kernels.trajectory(0.3, 1.1, 0.8, 20)
-    q, p = _kernels.final_state(0.3, 1.1, 0.8, 20)
     assert traj.shape == (21, 2)
-    assert traj[-1, 0] == q and traj[-1, 1] == p
+    for i in range(21):
+        assert tuple(traj[i]) == _kernels.final_state(0.3, 1.1, 0.8, i)
+    assert _kernels.trajectory(0.3, 1.1, 0.8, 0).tolist() == [[0.3, 1.1]]
 
 
 def test_batch_agrees_with_scalar():
@@ -55,3 +56,36 @@ def test_max_p_deviation_escape_flag():
     dev, steps, escaped = _kernels.max_p_deviation(1e-4, 0.0, 0.04, 10_000, 0.0, 2 * math.pi)
     assert not escaped
     assert steps == 10_000
+
+
+def _max_p_deviation_loop(q, p, k, nsteps, p_ref, cap):
+    """Reference: |p - p_ref| taken and compared at every step."""
+    best = abs(p - p_ref)
+    for i in range(nsteps):
+        p = p + k * math.sin(q)
+        q = q + p
+        dev = abs(p - p_ref)
+        if dev > best:
+            best = dev
+        if cap > 0.0 and best >= cap:
+            return best, i + 1, True
+    return best, nsteps, False
+
+
+def test_max_p_deviation_equals_per_step_loop():
+    # the island-width launches of K = 0.01 ... 3.99 on both resonances
+    escapes = 0
+    for i in range(1, 400):
+        for p_ref in (0.0, 2 * math.pi):
+            args = (1e-4, p_ref, 0.01 * i, 10_000, p_ref, 2 * math.pi)
+            got = _kernels.max_p_deviation(*args)
+            assert got == _max_p_deviation_loop(*args), args
+            escapes += got[2]
+    assert 100 < escapes < 700  # 558 here: both outcomes are covered
+    # no escape check, and launches that start beyond the cap (the last two
+    # keep p fixed on the first step, which must still count as an escape)
+    for args in [(1e-4, 0.0, 2.0, 3000, 0.0, 0.0), (1e-4, 0.0, 2.0, 3000, 0.0, -1.0),
+                 (0.5, 0.3, 0.9, 0, 0.0, 2 * math.pi), (0.5, 7.0, 0.9, 100, 0.0, 2 * math.pi),
+                 (0.5, -7.0, 0.01, 100, 0.0, 2 * math.pi), (0.0, 7.0, 0.5, 100, 0.0, 2 * math.pi),
+                 (0.3, -7.0, 0.0, 100, 0.0, 2 * math.pi)]:
+        assert _kernels.max_p_deviation(*args) == _max_p_deviation_loop(*args), args

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 import kamcrit as kc
-from kamcrit.errors import ContinuationError, DomainError
+from kamcrit.errors import ContinuationError, DomainError, RefinementError
 from kamcrit.orbits import closure_residual, refine_multishoot
 
 TWO_PI = 2 * math.pi
@@ -299,6 +299,146 @@ def test_branch_residue_closed_forms():
         assert abs(kc.residue(kc.monodromy(half.orbit_at(k))) - k * k / 4) <= 1e-10
 
 
+# --- bit identity with the full-orbit assembly -----------------------------------
+#
+# Reference copy of the earlier Newton assembly: every iteration rebuilds all
+# n angles with np.append, takes the residual over all of them and slices out
+# the half; the orbit is rebuilt with np.diff and column_stack.  The solver
+# now works on the half's own unknowns and must give the same bits.
+
+def _ref_step_defect(points, m, k):
+    q, p = points[:, 0], points[:, 1]
+    p1 = p + k * np.sin(q)
+    dq = np.append(q[1:], q[0] + TWO_PI * m) - (q + p1)
+    dp = np.append(p[1:], p[0]) - p1
+    return float(max(np.abs(dq).max(), np.abs(dp).max()))
+
+
+def _ref_el_residual(q, m, k):
+    wrap = TWO_PI * m
+    return np.append(q[1:], q[0] + wrap) - 2.0 * q + np.append(q[-1] - wrap, q[:-1]) - k * np.sin(q)
+
+
+def _ref_newton(x, assemble, solve, tol, max_iter):
+    for _ in range(max_iter):
+        q, e, diag = assemble(x)
+        if kc.orbits._sup(e) <= max(tol, 16.0 * np.finfo(float).eps * float(np.abs(q).max())):
+            return q.copy()
+        try:
+            x = x - np.array(solve(diag.tolist(), e.tolist()))
+        except ZeroDivisionError as exc:
+            raise RefinementError("singular") from exc
+    raise RefinementError("no convergence")
+
+
+def _ref_orbit_from_angles(q, like, k):
+    points = np.column_stack([q, np.diff(q, prepend=q[-1] - TWO_PI * like.m)])
+    return replace(like, points=points, K=k, closure_error=_ref_step_defect(points, like.m, k))
+
+
+def _ref_solve_symmetric(guess, k, tol=1e-12, max_iter=12, x0=None):
+    m, n = guess.m, guess.n
+    c, first, h, pinned, fold = kc.orbits._half_layout(guess)
+    q = np.empty(n)
+    q[0] = c
+    if pinned:
+        q[first + h] = c + math.pi * m
+
+    def assemble(x):
+        q[first:first + h] = x
+        q[n - h:] = (2.0 * c + TWO_PI * m - x)[::-1]
+        return q, _ref_el_residual(q, m, k)[first:first + h], -2.0 - k * np.cos(x) + fold
+
+    if x0 is None:
+        x0 = np.array(guess.points[first:first + h, 0], dtype=float)
+    q = _ref_newton(x0, assemble, kc.orbits._thomas, tol, max_iter)
+    return _ref_orbit_from_angles(q, guess, k)
+
+
+def _ref_continuation_step(prev, k):
+    _, first, h, _, fold = kc.orbits._half_layout(prev)
+    x = prev.points[first:first + h, 0]
+    t = np.array(kc.orbits._thomas((-2.0 - prev.K * np.cos(x) + fold).tolist(),
+                                   np.sin(x).tolist())) if h else x
+    x_pred = x + (k - prev.K) * t
+    try:
+        nxt = _ref_solve_symmetric(prev, k, x0=x_pred)
+    except RefinementError:
+        return None
+    x_new = nxt.points[first:first + h, 0]
+    sup = kc.orbits._sup
+    return nxt if sup(x_new - x_pred) <= kc.orbits._GUARD_RATIO * sup(x_pred - x) else None
+
+
+def _ref_refine_newton(orbit, tol=1e-11, max_iter=30):
+    if _ref_step_defect(orbit.points, orbit.m, orbit.K) <= tol:
+        return orbit
+    return _ref_solve_symmetric(orbit, orbit.K, tol, max_iter)
+
+
+def _ref_multishoot(orbit, tol=1e-12, max_iter=40):
+    m, k = orbit.m, orbit.K
+    err = _ref_step_defect(orbit.points, m, k)
+    if err <= tol:
+        return replace(orbit, closure_error=err)
+
+    def assemble(q):
+        return q, _ref_el_residual(q, m, k), -2.0 - k * np.cos(q)
+
+    q0 = np.array(orbit.points[:, 0], dtype=float)
+    return _ref_orbit_from_angles(_ref_newton(q0, assemble, kc.orbits._cyclic_thomas, tol, max_iter), orbit, k)
+
+
+def _outcome(solve, orbit):
+    """(points bytes, closure_error) of ``solve(orbit)``, or None when it is refused."""
+    try:
+        got = solve(orbit)
+    except RefinementError:
+        return None
+    return None if got is None else (got.points.tobytes(), got.closure_error, got.K, got.line, got.family)
+
+
+_BIT_ORDERS = [c for c in kc.fibonacci_convergents(12) if c.n in (2, 3, 5, 8, 13, 55, 233)]
+_BIT_STEPS = ((0.3, 0.5), (0.9, 0.95), (1.0, 1.05))
+# from n = 1597 on the lift max|q| passes 2815, where Newton stops on
+# 16*eps*max|q| instead of the tolerance
+_BIT_CASES = [(c, _BIT_STEPS) for c in _BIT_ORDERS] + [(kc.Convergent(987, 1597), _BIT_STEPS[:1])]
+
+
+@pytest.mark.parametrize("line", kc.orbits.ALL_LINES)
+def test_half_newton_is_bit_identical_to_full_orbit_assembly(line):
+    accepted = 0
+    for c, steps in _BIT_CASES:
+        for family in (kc.FAMILY_RATIONAL, kc.FAMILY_ALTERNATE):
+            branch = kc.OrbitBranch(c, family, line=line)
+            for k0, k1 in steps:
+                prev = branch.orbit_at(k0)
+                got = _outcome(lambda o: kc.orbits._continuation_step(o, k1), prev)
+                assert got == _outcome(lambda o: _ref_continuation_step(o, k1), prev), (c, family, k0)
+                accepted += got is not None
+                # Newton from the old angles at the new K
+                rough = replace(prev, K=k1)
+                assert _outcome(kc.refine_newton, rough) == _outcome(_ref_refine_newton, rough)
+    assert accepted >= 0.9 * 2 * sum(len(steps) for _, steps in _BIT_CASES)
+
+
+def test_refinement_of_fixed_points_and_free_orbits_is_bit_identical():
+    # n = 1: the unified defect and the one-angle Newton on every line
+    for line in kc.orbits.ALL_LINES:
+        orb = kc.find_periodic_orbit(kc.Convergent(0, 1), 0.7, line)
+        rough = replace(orb, points=orb.points + 1e-3)
+        assert _outcome(kc.refine_newton, rough) == _outcome(_ref_refine_newton, rough)
+        assert _outcome(refine_multishoot, rough) == _outcome(_ref_multishoot, rough)
+    # the full cyclic system of an orbit tied to no line
+    rng = np.random.default_rng(3)
+    for c in _BIT_ORDERS:
+        orb = kc.rational_orbit(c, 0.9)
+        rough = replace(orb, points=orb.points + 1e-7 * rng.standard_normal(orb.points.shape),
+                        line=kc.orbits.LINE_NONE)
+        got = _outcome(refine_multishoot, rough)
+        assert got is not None and got == _outcome(_ref_multishoot, rough)
+
+
 # --- families -----------------------------------------------------------------
 
 def test_rational_iterates_small_depth():
@@ -435,6 +575,28 @@ def test_continue_period2_k_independent():
     np.testing.assert_allclose(moved.points, [[0, math.pi], [math.pi, math.pi]], atol=1e-9)
     assert moved.K == 1.9
     assert moved.family == orb.family and moved.line == orb.line
+
+
+def test_period2_on_q_lines_is_closed_form_at_any_k(monkeypatch):
+    # its half has no unknowns: q = (c, c + pi) at every K, so the orbit is
+    # returned directly, with the bits that 12 steps of 0.25 reach at K = 3
+    c = kc.Convergent(1, 2)
+    walked = {}
+    for line in kc.RATIONAL_LINES:
+        orbit = kc.find_periodic_orbit(c, 0.0, line)
+        for i in range(1, 13):
+            orbit = kc.orbits._continuation_step(orbit, 0.25 * i)
+        walked[line] = orbit
+
+    def no_step(prev, k):
+        raise AssertionError(f"continuation step to K={k}")
+
+    monkeypatch.setattr(kc.orbits, "_continuation_step", no_step)
+    for line, want in walked.items():
+        got = kc.find_periodic_orbit(c, 3.0, line)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert (got.K, got.closure_error) == (3.0, want.closure_error)
+        assert kc.find_periodic_orbit(c, 1e6, line).closure_error <= 1e-9
 
 
 def test_continue_zero_distance_identity():
