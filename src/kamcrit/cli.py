@@ -102,6 +102,8 @@ def cmd_kcrit_greene(args) -> int:
     result = greene_kcrit(depth=args.depth, tol_k=args.tol_k)
     for n, k_star in result.per_n:
         print(f"n={n} K_star={k_star:.8f}")
+    for failure in result.diagnostics["failures"]:
+        print(f"warning: n={failure['n']} refused: {failure['error']}", file=sys.stderr)
     available = len(result.per_n)
     if available < min(3, args.depth):
         print(f"error: only {available} of {args.depth} thresholds available", file=sys.stderr)

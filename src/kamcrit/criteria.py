@@ -227,25 +227,26 @@ def torus_distance(a, b) -> float:
 
 def _assignment(a: PeriodicOrbit, b: PeriodicOrbit) -> Tuple[np.ndarray, np.ndarray]:
     """(columns, costs) of the minimum-weight matching of ``a``'s points, in
-    index order, to ``b``'s on the torus metric."""
-    # imported here: scipy.optimize would otherwise be most of ``import kamcrit``
-    from scipy.optimize import linear_sum_assignment
-
+    index order, to ``b``'s on the torus metric.  Both are Birkhoff orbits of
+    winding m/n, so their points share one cyclic order in q (Aubry & Le
+    Daeron 1983; Mather 1982) and the matching is one of n cyclic shifts of
+    the q-sorted points; the shift of least total distance wins, the
+    smallest one on a tie."""
     if a.n != b.n:
         raise DomainError(f"period mismatch: {a.n} vs {b.n}")
-    pa = a.torus_points()
-    pb = b.torus_points()
-    dq = wrap_angle(pa[:, 0][:, None] - pb[:, 0][None, :])
-    dp = wrap_angle(pa[:, 1][:, None] - pb[:, 1][None, :])
-    dist = np.hypot(dq, dp)
-    rows, cols = linear_sum_assignment(dist)  # rows of a square matrix come back as 0 ... n-1
-    return cols, dist[rows, cols]
+    n, pa, pb = a.n, a.torus_points(), b.torus_points()
+    ia, ib = np.argsort(pa[:, 0]), np.argsort(pb[:, 0])
+    jb = ib[(np.arange(n)[:, None] + np.arange(n)) % n]  # row s: partners of a[ia] under shift s
+    dist = np.hypot(wrap_angle(pa[ia, 0] - pb[jb, 0]), wrap_angle(pa[ia, 1] - pb[jb, 1]))
+    # totals summed in q order (in a's index order two shifts of 21/34 tie exactly near K = 0.4)
+    s, back = int(np.argmin(dist.sum(axis=1))), np.argsort(ia)
+    return jb[s, back], dist[s, back]
 
 
 def match_elliptic_points(a: PeriodicOrbit, b: PeriodicOrbit) -> List[Tuple[int, int, float]]:
     """Minimum-weight matching of two orbits' points on the torus metric.
 
-    Solved exactly by the assignment algorithm, so it coincides with the
+    Solved exactly by the cyclic-shift search, so it coincides with the
     exhaustive permutation optimum at every order (a globally-smallest-first
     greedy pass strands wrap-around leftovers already at order 8).  Each
     point is matched exactly once; pairs come back sorted by the first
@@ -261,11 +262,8 @@ def _pair_branches(c: Convergent) -> Tuple[OrbitBranch, OrbitBranch]:
 
 def nch_distance(n: int, k: float) -> float:
     """Minimum matched distance between the two families' orbits at (n, K)."""
-    c = _convergent_for_order(n)
-    rational, alternate = _pair_branches(c)
-    a = rational.orbit_at(k)
-    b = alternate.orbit_at(k)
-    return float(_assignment(a, b)[1].min())
+    rational, alternate = _pair_branches(_convergent_for_order(n))
+    return float(_assignment(rational.orbit_at(k), alternate.orbit_at(k))[1].min())
 
 
 def _convergent_for_order(n: int) -> Convergent:

@@ -22,8 +22,8 @@ guard refuses (and halves) any step whose corrector moves further than its
 predictor did, so a large step cannot carry the branch onto a neighbouring
 orbit.  This is the only way an orbit is located: :func:`find_periodic_orbit`
 and :class:`OrbitBranch` both start from that circle.  :func:`brentq`, a
-Brent-Dekker solver defined here so that importing the package loads no
-scipy, serves the threshold search of :mod:`kamcrit.stability`.
+Brent-Dekker solver defined here because numpy is the package's only
+dependency, serves the threshold search of :mod:`kamcrit.stability`.
 
 Each family's line is fixed by a parity rule of m/n.  The rational family
 takes q=0 for even n and q=pi otherwise, which carries the elliptic orbit.
@@ -380,14 +380,15 @@ def _half_layout(orbit: PeriodicOrbit) -> Tuple[float, int, int, bool, np.ndarra
 
 
 def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_iter: int = 12,
-                     x0: Optional[np.ndarray] = None) -> PeriodicOrbit:
+                     x0: Optional[np.ndarray] = None, layout: Optional[tuple] = None) -> PeriodicOrbit:
     """Newton on the symmetric half of ``guess``'s orbit at stochasticity ``k``,
-    started from the unknowns ``x0`` (by default ``guess``'s own angles).
+    started from the unknowns ``x0`` (by default ``guess``'s own angles);
+    ``layout`` is ``guess``'s :func:`_half_layout` when the caller has it.
     The residual is taken on the h unknowns alone, between neighbours that
     are c, the pin c + pi*m or a mirror a - x (a = 2c + 2*pi*m); the n
     angles are built once, at convergence."""
     line, m = guess.line, guess.m
-    c, first, h, pinned, fold = _half_layout(guess)
+    c, first, h, pinned, fold = layout or _half_layout(guess)
     a, pin = 2.0 * c + TWO_PI * m, c + math.pi * m
     # max|q| of the angles the line fixes; max|a - x| is at min x or max x, as rounding is monotone
     qfix = max(abs(c) if first else 0.0, abs(pin) if pinned else 0.0)
@@ -423,11 +424,11 @@ def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]
     try:
         if prev.line == LINE_NONE:
             return refine_multishoot(replace(prev, K=k), 1e-12, 12)
-        _, first, h, _, fold = _half_layout(prev)
+        _, first, h, _, fold = layout = _half_layout(prev)
         x = prev.points[first:first + h, 0]  # empty (h = 0) for n = 2 on q=0 or q=pi
         t = np.array(_thomas((-2.0 - prev.K * np.cos(x) + fold).tolist(), np.sin(x).tolist())) if h else x
         x_pred = x + (k - prev.K) * t
-        nxt = _solve_symmetric(prev, k, x0=x_pred)
+        nxt = _solve_symmetric(prev, k, x0=x_pred, layout=layout)
     except (RefinementError, ZeroDivisionError):
         return None
     x_new = nxt.points[first:first + h, 0]
@@ -633,32 +634,29 @@ def alternate_orbit(c: Convergent, k: float) -> PeriodicOrbit:
     return OrbitBranch(c, FAMILY_ALTERNATE).orbit_at(k)
 
 
+def _iterates(k: float, depth: int, family: str) -> List[Union[PeriodicOrbit, OrbitFailure]]:
+    k = check_stochasticity(k)
+    out: List[Union[PeriodicOrbit, OrbitFailure]] = []
+    for c in fibonacci_convergents(depth):
+        try:
+            out.append(OrbitBranch(c, family).orbit_at(k))
+        except (RefinementError, ContinuationError) as err:
+            out.append(OrbitFailure(c, str(err), family))
+    return out
+
+
 def rational_iterates(k: float, depth: int) -> List[Union[PeriodicOrbit, OrbitFailure]]:
     """Rational-family orbits for the Fibonacci convergents up to ``depth``.
 
     Failures are returned in place as :class:`OrbitFailure` markers so that
     partial sweeps stay usable.
     """
-    k = check_stochasticity(k)
-    out: List[Union[PeriodicOrbit, OrbitFailure]] = []
-    for c in fibonacci_convergents(depth):
-        try:
-            out.append(rational_orbit(c, k))
-        except (RefinementError, ContinuationError) as err:
-            out.append(OrbitFailure(c, str(err), FAMILY_RATIONAL))
-    return out
+    return _iterates(k, depth, FAMILY_RATIONAL)
 
 
 def alternate_iterates(k: float, depth: int) -> List[Union[PeriodicOrbit, OrbitFailure]]:
     """Alternate-family orbits (second symmetry-line family)."""
-    k = check_stochasticity(k)
-    out: List[Union[PeriodicOrbit, OrbitFailure]] = []
-    for c in fibonacci_convergents(depth):
-        try:
-            out.append(alternate_orbit(c, k))
-        except (RefinementError, ContinuationError) as err:
-            out.append(OrbitFailure(c, str(err), FAMILY_ALTERNATE))
-    return out
+    return _iterates(k, depth, FAMILY_ALTERNATE)
 
 
 # --------------------------------------------------------------------------

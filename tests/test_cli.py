@@ -137,6 +137,8 @@ def test_kcrit_greene_gap_in_tail_falls_back_to_last_value(tmp_path, monkeypatch
     assert rec["K_crit"] == rec["per_n"][-1][1]
     assert rec["diagnostics"]["extrapolation"].startswith("last value")
     assert [f["n"] for f in rec["diagnostics"]["failures"]] == [5]
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert warnings == [f"warning: n=5 refused: {rec['diagnostics']['failures'][0]['error']}"]
 
 
 def test_kcrit_greene_depth15(capsys):
@@ -303,10 +305,11 @@ def test_version():
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("argv", [["-c", "import kamcrit"], ["-m", "kamcrit.cli", "--version"]],
-                         ids=["import", "cli-version"])
+@pytest.mark.parametrize("argv", [["-c", "import kamcrit"], ["-m", "kamcrit.cli", "--version"],
+                                  ["-c", "import kamcrit; kamcrit.nch_distance(3, 0.5)"]],
+                         ids=["import", "cli-version", "match"])
 def test_import_and_version_load_no_scipy(argv):
-    # scipy.optimize is imported by match_elliptic_points on first use only
+    # numpy is kamcrit's only runtime dependency, matching orbits included
     src = str(Path(kamcrit.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-X", "importtime", *argv],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)

@@ -79,6 +79,31 @@ def test_greedy_equals_exhaustive_small_orders():
         assert abs(greedy_total - best_total) < 1e-9
 
 
+def test_cyclic_shift_matching_equals_assignment_oracle():
+    # scipy's general assignment solver is the oracle for the cyclic-shift search
+    from scipy.optimize import linear_sum_assignment
+
+    pairs = []
+    for c in kc.fibonacci_convergents(9):  # n = 2 ... 89
+        rational, alternate = kc.OrbitBranch(c, kc.FAMILY_RATIONAL), kc.OrbitBranch(c, kc.FAMILY_ALTERNATE)
+        for k in (round(0.30 + 0.02 * i, 10) for i in range(51)):
+            pairs.append((rational.orbit_at(k), alternate.orbit_at(k)))
+    # two cyclic shifts tie here to rounding level (2e-13 in the total)
+    c89 = kc.Convergent(55, 89)
+    pairs.append(tuple(kc.OrbitBranch(c89, f).orbit_at(0.757615385)
+                       for f in (kc.FAMILY_RATIONAL, kc.FAMILY_ALTERNATE)))
+    assert len(pairs) == 460
+    for a, b in pairs:
+        pa, pb = a.torus_points(), b.torus_points()
+        dist = np.hypot(kc.mapcore.wrap_angle(pa[:, 0][:, None] - pb[:, 0]),
+                        kc.mapcore.wrap_angle(pa[:, 1][:, None] - pb[:, 1]))
+        rows, oracle = linear_sum_assignment(dist)
+        cols, costs = kc.criteria._assignment(a, b)
+        assert cols.tolist() == oracle.tolist(), (a.n, a.K)
+        assert costs.min() == dist[rows, oracle].min()
+    assert costs.min() == 0.0292845644923891
+
+
 def test_period2_pair_distances_closed_form():
     k = 0.5
     q0 = brentq(lambda q: TWO_PI - 4 * q - k * math.sin(q), 0.1, math.pi - 0.1, xtol=1e-14)
