@@ -20,10 +20,14 @@ evaluated on the unknowns alone and the n angles are built once, at
 convergence.  Newton starts from the tangent predictor x + dK dx/dK, and a
 guard refuses (and halves) any step whose corrector moves further than its
 predictor did, so a large step cannot carry the branch onto a neighbouring
-orbit.  This is the only way an orbit is located: :func:`find_periodic_orbit`
-and :class:`OrbitBranch` both start from that circle.  :func:`brentq`, a
+orbit; Newton gives such a step up at its first iterate beyond that reach
+whose residual does not fall, not at its iteration cap.  This is the only
+way an orbit is located: :func:`find_periodic_orbit` and
+:class:`OrbitBranch` both start from that circle.  The threshold search of
+:mod:`kamcrit.stability` walks the accepted steps one at a time
+(:meth:`OrbitBranch.climb`) and solves its bracket with :func:`brentq`, a
 Brent-Dekker solver defined here because numpy is the package's only
-dependency, serves the threshold search of :mod:`kamcrit.stability`.
+dependency.
 
 Each family's line is fixed by a parity rule of m/n.  The rational family
 takes q=0 for even n and q=pi otherwise, which carries the elliptic orbit.
@@ -297,21 +301,29 @@ def _sup(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def _newton(x: np.ndarray, assemble, solve, tol: float, max_iter: int, what: str) -> np.ndarray:
+def _newton(x: np.ndarray, assemble, solve, tol: float, max_iter: int, what: str,
+            reach: float = math.inf) -> np.ndarray:
     """Newton on the Euler-Lagrange residual of the unknowns ``x``; returns them converged.
 
     ``assemble(x)`` gives (residual on the unknowns, Jacobian diagonal, max|q|
     over all n angles of the orbit they define).  Converged means
     max|E| <= max(tol, 16*eps*max|q|): deep orders lift q to ~1e4, where one
-    ulp of q already exceeds 1e-12.
+    ulp of q already exceeds 1e-12.  Raises :class:`RefinementError` on a
+    singular Jacobian, after ``max_iter`` iterations, and at the first
+    iterate whose residual is not below the previous one while it lies
+    further than ``reach`` from the start in max norm.  A continuation step
+    passes its guard's reach, so a corrector leaving the branch is refused
+    at once instead of at the iteration cap.
     """
-    history = []
+    start, history = x, []
     for _ in range(max_iter):
         e, diag, qmax = assemble(x)
         err = _sup(e)
         history.append(err)
         if err <= max(tol, 16.0 * _EPS * qmax):
             return x
+        if len(history) > 1 and err >= history[-2] and _sup(x - start) > reach:
+            raise RefinementError(f"Euler-Lagrange Newton diverging for {what}", history=history)
         try:
             x = x - np.array(solve(diag.tolist(), e.tolist()))
         except ZeroDivisionError as exc:
@@ -380,10 +392,12 @@ def _half_layout(orbit: PeriodicOrbit) -> Tuple[float, int, int, bool, np.ndarra
 
 
 def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_iter: int = 12,
-                     x0: Optional[np.ndarray] = None, layout: Optional[tuple] = None) -> PeriodicOrbit:
+                     x0: Optional[np.ndarray] = None, layout: Optional[tuple] = None,
+                     reach: float = math.inf) -> PeriodicOrbit:
     """Newton on the symmetric half of ``guess``'s orbit at stochasticity ``k``,
     started from the unknowns ``x0`` (by default ``guess``'s own angles);
-    ``layout`` is ``guess``'s :func:`_half_layout` when the caller has it.
+    ``layout`` is ``guess``'s :func:`_half_layout` when the caller has it,
+    and ``reach`` is :func:`_newton`'s bound on a diverging iterate.
     The residual is taken on the h unknowns alone, between neighbours that
     are c, the pin c + pi*m or a mirror a - x (a = 2c + 2*pi*m); the n
     angles are built once, at convergence."""
@@ -404,7 +418,7 @@ def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_ite
 
     x = np.array(guess.points[first:first + h, 0], dtype=float) if x0 is None else x0
     if h:  # otherwise (n = 1, or n = 2 on q=0 or q=pi) the line fixes the orbit
-        x = _newton(x, assemble, _thomas, tol, max_iter, f"{guess.convergent} on {line} at K={k:g}")
+        x = _newton(x, assemble, _thomas, tol, max_iter, f"{guess.convergent} on {line} at K={k:g}", reach)
     q = np.concatenate(([c] * first, x, [pin] * pinned, (a - x)[::-1]))
     return _orbit_from_angles(q, guess, k)
 
@@ -417,7 +431,8 @@ def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]
     Thomas pass with the Jacobian J at ``prev.K``.  The corrected x_new is
     kept only when |x_new - x_pred| <= _GUARD_RATIO |x_pred - x| in max
     norm: a corrector that moves further than the predictor has left the
-    branch (Allgower & Georg, Numerical Continuation Methods).  A
+    branch (Allgower & Georg, Numerical Continuation Methods).  Newton
+    stops as soon as its residual fails to fall outside that reach.  A
     ``LINE_NONE`` orbit starts Newton on the full cyclic system from its own
     angles, unguarded.  A Newton failure is a refusal too.
     """
@@ -428,11 +443,12 @@ def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]
         x = prev.points[first:first + h, 0]  # empty (h = 0) for n = 2 on q=0 or q=pi
         t = np.array(_thomas((-2.0 - prev.K * np.cos(x) + fold).tolist(), np.sin(x).tolist())) if h else x
         x_pred = x + (k - prev.K) * t
-        nxt = _solve_symmetric(prev, k, x0=x_pred, layout=layout)
+        reach = _GUARD_RATIO * _sup(x_pred - x)
+        nxt = _solve_symmetric(prev, k, x0=x_pred, layout=layout, reach=reach)
     except (RefinementError, ZeroDivisionError):
         return None
     x_new = nxt.points[first:first + h, 0]
-    return nxt if _sup(x_new - x_pred) <= _GUARD_RATIO * _sup(x_pred - x) else None
+    return nxt if _sup(x_new - x_pred) <= reach else None
 
 
 def refine_newton(orbit: PeriodicOrbit, tol: float = 1e-11, max_iter: int = 30) -> PeriodicOrbit:
@@ -533,30 +549,8 @@ def find_periodic_orbit(c: Convergent, k: float, line: str, family: Optional[str
 # continuation
 # --------------------------------------------------------------------------
 
-def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
-    """Natural-parameter continuation of an orbit to ``k_target``.
-
-    Each step is one Newton solve of the Euler-Lagrange equations at the
-    next K.  On the four symmetry lines it runs on the orbit's symmetric
-    half and starts from the tangent predictor x + dK t (J t = sin x at the
-    current K); the step is refused when the corrector lands further from
-    the predictor than the predictor is from x, which is how a switch to a
-    neighbouring orbit shows (:func:`_continuation_step`).  ``LINE_NONE``
-    orbits take an unguarded step on the full cyclic system from the
-    current angles.  The step adapts: it grows by 1.6 after each accepted
-    step up to ``_DK_MAX``, halves whenever Newton fails or the guard
-    refuses, and stops with :class:`ContinuationError` (reporting the last
-    good K) at the floor 1e-6, which signals an orbit collision or
-    bifurcation.  The fixed points (n = 1) and the 1/2 orbit (c, c + pi) on
-    q=c do not move with K and are returned in closed form.  Family and
-    line tags are preserved.
-    """
-    k_target = check_stochasticity(k_target)
-    if k_target == orbit.K:
-        return orbit
-    if orbit.n == 1 or (orbit.n == 2 and orbit.line in RATIONAL_LINES):
-        return _solve_symmetric(orbit, k_target)  # no unknowns: the line fixes every angle
-
+def _steps(orbit: PeriodicOrbit, k_target: float):
+    """The accepted steps of :func:`continue_in_K` from ``orbit`` to ``k_target``, in order."""
     current = orbit
     dk = min(_DK_MAX, abs(k_target - orbit.K))
     while current.K != k_target:
@@ -576,6 +570,37 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
             continue
         current = nxt
         dk = min(dk * 1.6, _DK_MAX)
+        yield current
+
+
+def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
+    """Natural-parameter continuation of an orbit to ``k_target``.
+
+    Each step is one Newton solve of the Euler-Lagrange equations at the
+    next K.  On the four symmetry lines it runs on the orbit's symmetric
+    half and starts from the tangent predictor x + dK t (J t = sin x at the
+    current K); the step is refused when the corrector lands further from
+    the predictor than the predictor is from x, which is how a switch to a
+    neighbouring orbit shows, and at the first Newton iterate beyond that
+    reach whose residual does not fall (:func:`_continuation_step`).
+    ``LINE_NONE`` orbits take an unguarded step on the full cyclic system
+    from the current angles.  The step adapts: it grows by 1.6 after each
+    accepted step up to ``_DK_MAX``, halves whenever Newton fails or the
+    guard refuses, and stops with :class:`ContinuationError` (reporting the
+    last good K) at the floor 1e-6, which signals an orbit collision or
+    bifurcation.  :meth:`OrbitBranch.climb` yields the same steps one at a
+    time.  The fixed points (n = 1) and the 1/2 orbit (c, c + pi) on q=c do
+    not move with K and are returned in closed form.  Family and line tags
+    are preserved.
+    """
+    k_target = check_stochasticity(k_target)
+    if k_target == orbit.K:
+        return orbit
+    if orbit.n == 1 or (orbit.n == 2 and orbit.line in RATIONAL_LINES):
+        return _solve_symmetric(orbit, k_target)  # no unknowns: the line fixes every angle
+    current = orbit
+    for current in _steps(orbit, k_target):
+        pass
     return current
 
 
@@ -622,6 +647,18 @@ class OrbitBranch:
             below = max(kk for kk in self._cache if kk <= k)
             self._cache[k] = continue_in_K(self._cache[below], k)
         return self._cache[k]
+
+    def climb(self, k_max: float):
+        """The accepted steps of :func:`continue_in_K` from this branch's
+        K = 0 circle up to ``k_max``, in order, each cached for
+        :meth:`orbit_at`; the closed-form orbits step too.  A caller stops
+        the climb by leaving the loop.  Meant for a fresh branch: a step
+        replaces whatever the cache held at its K.
+        """
+        k_max = check_stochasticity(k_max)
+        for orbit in _steps(self.orbit_at(0.0), k_max):
+            self._cache[orbit.K] = orbit
+            yield orbit
 
 
 def rational_orbit(c: Convergent, k: float) -> PeriodicOrbit:

@@ -17,7 +17,6 @@ import numpy as np
 from . import _kernels
 from .errors import BracketingError, DomainError
 from .orbits import (
-    _DK_MAX,
     FAMILY_RATIONAL,
     Convergent,
     OrbitBranch,
@@ -131,7 +130,7 @@ def orbit_report(orbit: PeriodicOrbit) -> StabilityReport:
 # destabilization threshold
 # --------------------------------------------------------------------------
 
-_K_START, _K_MAX = 0.25, 4.5  # the upward walk, in steps of _DK_MAX, that brackets R = 1
+_K_MAX = 4.5  # the top of the upward walk that brackets R = 1
 
 
 def check_tol_k(tol_k: float) -> float:
@@ -161,17 +160,22 @@ def find_destabilization(
 ) -> Tuple[float, dict]:
     """Walk K upward until the residue crosses 1, then solve for the crossing.
 
-    The walk steps from ``_K_START`` up to ``_K_MAX`` by the continuation's
-    largest step ``_DK_MAX``, so its probes fall at K = 0.25, 0.5, 0.75,
-    1.0, ...  and each costs one guarded predictor-corrector step unless the
-    guard of :func:`kamcrit.orbits.continue_in_K` halves it.  The last
-    bracket is solved by :func:`brentq` on log R (on R - 1 where rounding
-    gives R <= 0, which keeps the sign), so K* lies within ``tol_k``/2 of
-    the crossing (:class:`DomainError` unless ``tol_k`` is positive and
-    finite).  Returns (K*, info): the bracket, every residue evaluation as
-    (K, R) in call order, and the line.  Raises :class:`BracketingError`
-    when the walk brackets no crossing, and at the first residue that is not
-    finite (an overflowed monodromy is neither below 1 nor a crossing).
+    The walk is the branch's own continuation from the K = 0 circle up to
+    ``_K_MAX`` (:meth:`kamcrit.orbits.OrbitBranch.climb`): it takes R at
+    each accepted step and stops at the first with R >= 1, so the bracket
+    is the last two accepted K (the circle, R = 0, before the first step).
+    The steps are multiples of 0.25 until the guard of
+    :func:`kamcrit.orbits.continue_in_K` first halves one, which it does
+    near K*(n) from n = 144 on.  The bracket is solved by :func:`brentq` on
+    log R (on R - 1 where rounding
+    gives R <= 0, which keeps the sign), each probe continued from the
+    nearest cached step below it, so K* lies within ``tol_k``/2 of the
+    crossing (:class:`DomainError` unless ``tol_k`` is positive and finite)
+    and depends on nothing but the arguments.  Returns (K*, info): the
+    bracket, every residue evaluation as (K, R) in call order, and the line.
+    Raises :class:`BracketingError` when the walk brackets no crossing, and
+    at the first residue that is not finite (an overflowed monodromy is
+    neither below 1 nor a crossing).
     """
     tol_k = check_tol_k(tol_k)
     branch = OrbitBranch(c, family, line)
@@ -185,16 +189,15 @@ def find_destabilization(
         r = residues[k]
         return math.log(r) if r > 0.0 else r - 1.0
 
-    if log_residue(_K_START) >= 0.0:
-        raise BracketingError(f"orbit {c} already non-elliptic at K_start={_K_START:g}")
-    for i in range(1, round((_K_MAX - _K_START) / _DK_MAX) + 1):
-        k = _K_START + i * _DK_MAX
-        if log_residue(k) >= 0.0:
+    k_lo = 0.0  # the K = 0 circle: its monodromy is a shear, R = 0
+    for orbit in branch.climb(_K_MAX):
+        if log_residue(orbit.K) >= 0.0:
             break
+        k_lo = orbit.K
     else:
         raise BracketingError(
-            f"no residue crossing below K_max={_K_MAX:g} for {c} (last residue {residues[k]:.4g})"
+            f"no residue crossing below K_max={_K_MAX:g} for {c} (last residue {residues[orbit.K]:.4g})"
         )
-    bracket = (_K_START + (i - 1) * _DK_MAX, k)
+    bracket = (k_lo, orbit.K)
     k_star = brentq(log_residue, *bracket, xtol=0.5 * tol_k)
     return k_star, {"bracket": bracket, "samples": list(residues.items()), "line": branch.line}

@@ -148,6 +148,18 @@ def test_kcrit_greene_depth15(capsys):
     assert abs(float(_kv(lines[-1])["K_crit"]) - 0.971635406) <= 1e-5
 
 
+def test_kcrit_greene_depth21_keeps_every_order(tmp_path, capsys):
+    # the walk stops at its first step past each K*(n), so it never reaches
+    # K = 1.0, where the monodromy of 17711/28657 overflows to nan
+    out = tmp_path / "greene.json"
+    assert main(["kcrit-greene", "--depth", "21", "--out", str(out)]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    rec = json.loads(out.read_text())
+    assert len(rec["per_n"]) == 21 and not rec["diagnostics"]["failures"]
+    assert rec["per_n"][-1][0] == 28657
+    assert abs(rec["per_n"][-1][1] - 0.9716768) <= 1e-6
+
+
 def test_kcrit_nch_failure_leaves_no_partial_file(tmp_path, capsys):
     out = tmp_path / "nch.json"
     code = main(["kcrit-nch", "--depth", "1", "--k-grid", "0.02,0.04,0.06,0.08,0.10",

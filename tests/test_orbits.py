@@ -661,10 +661,13 @@ def test_upward_continuation_stays_on_branch(k0):
     (55, 89, kc.FAMILY_RATIONAL, 1.1),
     (377, 610, kc.FAMILY_RATIONAL, 1.0),
     (144, 233, kc.FAMILY_ALTERNATE, 1.0),
+    (610, 987, kc.FAMILY_ALTERNATE, 1.0),
 ])
 def test_fresh_branch_matches_fine_climb(m, n, family, k):
     # past K*(n) a fresh branch climbed in unguarded steps ended 0.16-0.89 rad
-    # away from the same branch climbed in steps of 0.005
+    # away from the same branch climbed in steps of 0.005; alternate 610/987
+    # passed the guard onto an orbit 0.167 rad off (R = -2.16e13, not
+    # -3.63e13) until Newton stopped at its first diverging iterate
     got = kc.OrbitBranch(kc.Convergent(m, n), family).orbit_at(k)
     want = _fine_climb(m, n, family, k)
     assert np.abs(got.points - want.points).max() <= 1e-8
@@ -679,6 +682,18 @@ def test_guard_refuses_a_step_onto_another_branch(monkeypatch):
     monkeypatch.setattr(kc.orbits, "_GUARD_RATIO", math.inf)
     unguarded = kc.orbits._continuation_step(start, 1.0)
     assert kc.residue(kc.monodromy(unguarded)) == pytest.approx(21980.0, rel=1e-4)
+
+
+def test_diverging_corrector_is_refused_at_once(monkeypatch):
+    # the step of 233/377 from 0.75 to 1.0 crosses K*(377) = 0.97497; its
+    # corrector's residual stops falling outside the guard's reach, and the
+    # step is refused there instead of at Newton's 12-iteration cap
+    start = kc.OrbitBranch(kc.Convergent(233, 377)).orbit_at(0.75)
+    evals = []
+    real = kc.orbits._el_residual
+    monkeypatch.setattr(kc.orbits, "_el_residual", lambda *args: evals.append(1) or real(*args))
+    assert kc.orbits._continuation_step(start, 1.0) is None
+    assert 2 <= len(evals) <= 3
 
 
 # --- closure and winding exactness ---------------------------------------------

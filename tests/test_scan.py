@@ -1,9 +1,10 @@
+import csv
 import json
 import os
 
 import pytest
 
-from kamcrit import scan
+from kamcrit import Convergent, greene_kcrit, nch_distance_curve, scan
 from kamcrit.errors import ConfigError, MergeConflictError
 from kamcrit.scan import merge_results, parse_scan_config, run_scan, worker_count
 
@@ -184,6 +185,27 @@ def test_run_scan_parallel_matches_serial(tmp_path):
     run_scan(parse_scan_config(text + f"output_dir = {out_a}\n"), threads=1)
     run_scan(parse_scan_config(text + f"output_dir = {out_b}\n"), threads=2)
     assert (out_a / "chirikov.csv").read_bytes() == (out_b / "chirikov.csv").read_bytes()
+
+
+def test_greene_rows_follow_only_from_their_inputs(tmp_path):
+    # each greene task solves its order on a fresh branch, so its row is
+    # greene_kcrit's K*(n) to the bit, whatever the worker count and whatever
+    # the process solved before; depth 11 reaches n = 144, the first order
+    # whose bracket is no longer (0.75, 1.0) but two steps of its own walk
+    want = [(n, k.hex()) for n, k in greene_kcrit(depth=11).per_n]
+    text = "methods = greene\ndepth = 11\n"
+
+    def rows(name, threads):
+        out = tmp_path / name
+        assert run_scan(parse_scan_config(text + f"output_dir = {out}\n"), threads=threads).ok == 11
+        with (out / "greene.csv").open(newline="") as fh:
+            return [(int(n), float(v).hex()) for _, n, _, v in list(csv.reader(fh))[1:]]
+
+    assert rows("serial", 1) == want
+    assert rows("parallel", 2) == want
+    nch_distance_curve(Convergent(55, 89), [0.90, 0.93, 0.96, 0.99, 1.02])
+    greene_kcrit(depth=12)
+    assert rows("after", 1) == want
 
 
 def test_run_scan_all_methods_end_to_end(tmp_path):

@@ -128,11 +128,16 @@ def test_destabilization_closed_forms():
     assert abs(k_12 - 2.0) <= tol_k / 2
 
 
-@pytest.mark.parametrize("m, n", [(3, 5), (8, 13), (55, 89)])
-@pytest.mark.parametrize("tol_k", [1e-3, 1e-6])
-def test_destabilization_within_half_tolerance(m, n, tol_k):
+@pytest.mark.parametrize("tol_k, m, n", [
+    *[(tol_k, m, n) for tol_k in (1e-3, 1e-6) for m, n in ((3, 5), (8, 13), (55, 89))],
+    (1e-6, 233, 377),
+    (1e-6, 377, 610),
+])
+def test_destabilization_within_half_tolerance(tol_k, m, n):
     # K* lies within tol_k/2 of the R = 1 crossing; each side is taken on a
-    # fresh branch, so no cached orbit of the search is reused
+    # fresh branch, so no cached orbit of the search is reused.  From n = 144
+    # on the bracket ends at the walk's first step past the crossing, not
+    # at a multiple of 0.25
     c = kc.Convergent(m, n)
     k_star = kc.destabilization_K(c, tol_k=tol_k)
     margin = tol_k / 2 + 1e-12
@@ -146,8 +151,9 @@ def test_destabilization_within_half_tolerance(m, n, tol_k):
 def test_destabilization_samples_every_residue_evaluation():
     k_star, info = find_destabilization(kc.Convergent(3, 5))
     ks = [k for k, _ in info["samples"]]
-    start, step = kc.stability._K_START, kc.orbits._DK_MAX
-    walk = [start + i * step for i in range(round((info["bracket"][1] - start) / step) + 1)]
+    # no step of 3/5 is refused, so its walk is the continuation's 0.25 grid
+    step = kc.orbits._DK_MAX
+    walk = [i * step for i in range(1, round(info["bracket"][1] / step) + 1)]
     assert ks[:len(walk)] == walk
     assert len(ks) > len(walk) and len(set(ks)) == len(ks)
     assert all(info["bracket"][0] < k < info["bracket"][1] for k in ks[len(walk):])
