@@ -34,6 +34,7 @@ from .scan import (
     load_scan_config,
     merge_results,
     run_scan,
+    staged,
     write_atomic,
     write_merged,
 )
@@ -181,6 +182,16 @@ def _parse_seeds(spec: str):
     return seeds
 
 
+def _write_portrait(fh, paths) -> None:
+    # one seed at a time, so only one seed's rows are ever formatted at once
+    fh.write("seed_id,iter,q,p\n")
+    for sid in range(paths.shape[0]):
+        qt = wrap_angle(paths[sid, :, 0]).tolist()
+        pt = wrap_momentum(paths[sid, :, 1]).tolist()
+        fh.write("".join(f"{sid},{it},{q:.17g},{p:.17g}\n"
+                         for it, (q, p) in enumerate(zip(qt, pt))))
+
+
 def cmd_portrait(args) -> int:
     k = check_stochasticity(args.K)
     if args.iters < 1:
@@ -189,21 +200,15 @@ def cmd_portrait(args) -> int:
     qs = np.array([q for q, _ in seeds])
     ps = np.array([p for _, p in seeds])
     paths = _kernels.batch_trajectory(qs, ps, k, int(args.iters))
-    lines = ["seed_id,iter,q,p"]
-    for sid in range(paths.shape[0]):
-        qt = wrap_angle(paths[sid, :, 0])
-        pt = wrap_momentum(paths[sid, :, 1])
-        for it in range(paths.shape[1]):
-            lines.append(f"{sid},{it},{qt[it]:.17g},{pt[it]:.17g}")
-    body = "\n".join(lines) + "\n"
     summary = _summary(K=k, seeds=len(seeds), iters=args.iters,
                        rows=paths.shape[0] * paths.shape[1])
     if args.out:
-        write_atomic(Path(args.out), body)
+        with staged(Path(args.out)) as fh:
+            _write_portrait(fh, paths)
         print(summary)
     else:
         # keep piped CSV clean; the summary goes to stderr
-        sys.stdout.write(body)
+        _write_portrait(sys.stdout, paths)
         print(summary, file=sys.stderr)
     return 0
 

@@ -15,21 +15,23 @@ Config files are flat key-value text, one ``key = value`` per line with
 Each (method, order/K) task is independent; failures are recorded per task
 in the manifest and never stop the remaining tasks.  Worker count comes
 from the KAMCRIT_THREADS environment variable (default 1), overridable per
-call, and is capped at the CPU count and the task count.  Rows are sorted
-by key and written at 17 significant digits through a staging file and an
-atomic rename, so identical configs reproduce byte-identical CSV bodies.
+call, and is capped at the CPU count and the task count; the process pool
+(multiprocessing, sockets, subprocess) is imported only when a scan runs
+more than one worker.  Rows are sorted by key and written at 17
+significant digits through a staging file and an atomic rename, so
+identical configs reproduce byte-identical CSV bodies.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
-import hashlib
 import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,6 +47,16 @@ _KNOWN_TOLERANCES = ("k_star",)
 _MAX_RANGE_POINTS = 10_000
 
 Row = Tuple[str, int, str, float]  # (method, n, K_or_stat, value)
+
+
+def __getattr__(name):
+    # the process pool is bound on first use, so a process that never runs
+    # a multi-worker scan never imports multiprocessing
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -90,6 +102,8 @@ class ScanConfig:
         }
 
     def content_hash(self) -> str:
+        import hashlib  # loads OpenSSL's libcrypto, which only the manifest needs
+
         canon = json.dumps(self.to_record(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -273,10 +287,23 @@ def _csv_body(rows: Sequence[Row]) -> str:
     return buf.getvalue()
 
 
-def write_atomic(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def staged(path: Path):
+    """Yield a text file open on ``<name>.tmp`` and rename it over ``path``
+    when the block succeeds; when anything raises, delete it instead."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_atomic(path: Path, text: str) -> None:
+    with staged(path) as fh:
+        fh.write(text)
 
 
 def run_scan(cfg: ScanConfig, threads: Optional[int] = None) -> RunManifest:
@@ -294,7 +321,8 @@ def run_scan(cfg: ScanConfig, threads: Optional[int] = None) -> RunManifest:
 
     results = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # through the module attribute, which the module __getattr__ binds
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(t) for t in tasks]

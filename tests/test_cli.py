@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,9 @@ import pytest
 
 import kamcrit
 from kamcrit import OrbitBranch
-from kamcrit.cli import build_parser, main
+from kamcrit._kernels import batch_trajectory
+from kamcrit.cli import _parse_seeds, build_parser, main
+from kamcrit.mapcore import wrap_angle, wrap_momentum
 
 TWO_PI = 2 * math.pi
 
@@ -216,6 +219,47 @@ def test_portrait_explicit_seed_pairs(tmp_path):
         assert 0.0 <= float(p) < TWO_PI
 
 
+def _portrait_reference(k, seeds, iters):
+    """The CSV as first specified: numpy-scalar rows joined whole in memory."""
+    qs = np.array([q for q, _ in seeds])
+    ps = np.array([p for _, p in seeds])
+    paths = batch_trajectory(qs, ps, k, iters)
+    lines = ["seed_id,iter,q,p"]
+    for sid in range(paths.shape[0]):
+        qt = wrap_angle(paths[sid, :, 0])
+        pt = wrap_momentum(paths[sid, :, 1])
+        for it in range(paths.shape[1]):
+            lines.append(f"{sid},{it},{qt[it]:.17g},{pt[it]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("K, seeds, iters", [("1.17", "24", "2000"),
+                                             ("0.5", "(0.1,3.88) (1.0,2.0)", "50")])
+def test_portrait_bytes_file_and_stdout(K, seeds, iters, tmp_path, capsys):
+    want = _portrait_reference(float(K), _parse_seeds(seeds), int(iters))
+    out = tmp_path / "portrait.csv"
+    argv = ["portrait", "--K", K, "--seeds", seeds, "--iters", iters]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == want
+    assert [f.name for f in tmp_path.iterdir()] == ["portrait.csv"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_portrait_streams_one_seed_at_a_time(tmp_path, capsys):
+    # the 24 x 2001 x 2 trajectory array (768 kB) is held whole; the
+    # 48 024 formatted rows (2.2 MB joined) must not be
+    tracemalloc.start()
+    try:
+        assert main(["portrait", "--K", "1.17", "--seeds", "24", "--iters", "2000",
+                     "--out", str(tmp_path / "portrait.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_portrait_bad_seeds_usage_error(capsys):
     assert main(["portrait", "--K", "0.5", "--seeds", "zebra", "--iters", "5"]) == 2
 
@@ -317,15 +361,32 @@ def test_version():
     assert exc.value.code == 0
 
 
+def _cold_imports(argv):
+    """Modules a fresh ``python argv`` process imports, from ``-X importtime``."""
+    src = str(Path(kamcrit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    return [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
 @pytest.mark.parametrize("argv", [["-c", "import kamcrit"], ["-m", "kamcrit.cli", "--version"],
                                   ["-c", "import kamcrit; kamcrit.nch_distance(3, 0.5)"]],
                          ids=["import", "cli-version", "match"])
 def test_import_and_version_load_no_scipy(argv):
     # numpy is kamcrit's only runtime dependency, matching orbits included
-    src = str(Path(kamcrit.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-X", "importtime", *argv],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
-    loaded = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
-              if line.startswith("import time:")]
+    loaded = _cold_imports(argv)
     assert "kamcrit" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+@pytest.mark.parametrize("argv", [["-c", "import kamcrit"], ["-m", "kamcrit.cli", "--version"],
+                                  ["-m", "kamcrit.cli", "orbit", "--m", "8", "--n", "13",
+                                   "--K", "0.8"]],
+                         ids=["import", "cli-version", "orbit"])
+def test_cold_process_loads_no_pool_or_openssl(argv):
+    # the process pool is for multi-worker scans and hashlib for the scan
+    # manifest; a command that runs neither loads neither
+    loaded = _cold_imports(argv)
+    assert "kamcrit" in loaded
+    assert {"multiprocessing", "concurrent.futures.process", "_hashlib"} & set(loaded) == set()

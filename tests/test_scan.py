@@ -6,7 +6,7 @@ import pytest
 
 from kamcrit import Convergent, greene_kcrit, nch_distance_curve, scan
 from kamcrit.errors import ConfigError, MergeConflictError
-from kamcrit.scan import merge_results, parse_scan_config, run_scan, worker_count
+from kamcrit.scan import merge_results, parse_scan_config, run_scan, worker_count, write_atomic
 
 
 def _cfg_text(out_dir, methods="greene", depth=2, grid="0.5,0.7,0.9"):
@@ -126,6 +126,15 @@ def test_worker_count_env(monkeypatch, tmp_path):
     monkeypatch.setenv("KAMCRIT_THREADS", "zebra")
     with pytest.raises(ConfigError):
         worker_count()
+
+
+def test_write_atomic_failure_leaves_no_file(tmp_path):
+    # a lone surrogate cannot be encoded, so the write raises half-way
+    target = tmp_path / "x.csv"
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(target, "ok\n\ud800")
+    assert not target.exists()
+    assert not (tmp_path / "x.csv.tmp").exists()
 
 
 def test_run_scan_greene_rowcount(tmp_path):
