@@ -26,14 +26,10 @@ from .mapcore import (
     STANDARD_MAP,
     TWO_PI,
     PhasePoint,
-    action,
     check_stochasticity,
     euler_lagrange_residual,
-    iterate_standard,
-    reduce_to_torus,
     step_standard,
     symplecticity_check,
-    tangent_step,
     trajectory_standard,
 )
 from .orbits import (
@@ -47,16 +43,12 @@ from .orbits import (
     LINE_QPI,
     RATIONAL_LINES,
     Convergent,
-    KamCurveTarget,
     OrbitBranch,
-    OrbitFailure,
     PeriodicOrbit,
-    alternate_iterates,
     alternate_orbit,
     continue_in_K,
     fibonacci_convergents,
     find_periodic_orbit,
-    rational_iterates,
     rational_orbit,
     refine_multishoot,
     refine_newton,
@@ -69,7 +61,6 @@ from .stability import (
     destabilization_K,
     find_destabilization,
     monodromy,
-    orbit_report,
     residue,
 )
 from .criteria import (
@@ -81,7 +72,6 @@ from .criteria import (
     greene_kcrit,
     island_half_width,
     match_elliptic_points,
-    nch_distance,
     nch_distance_curve,
     nch_kcrit,
     pendulum_half_width,

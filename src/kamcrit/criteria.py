@@ -46,7 +46,6 @@ __all__ = [
     "greene_kcrit",
     "match_elliptic_points",
     "torus_distance",
-    "nch_distance",
     "nch_distance_curve",
     "nch_kcrit",
     "island_half_width",
@@ -272,23 +271,6 @@ def match_elliptic_points(a: PeriodicOrbit, b: PeriodicOrbit) -> List[Tuple[int,
 
 def _pair_branches(c: Convergent) -> Tuple[OrbitBranch, OrbitBranch]:
     return OrbitBranch(c, FAMILY_RATIONAL), OrbitBranch(c, FAMILY_ALTERNATE)
-
-
-def nch_distance(n: int, k: float) -> float:
-    """Minimum matched distance between the two families' orbits at (n, K)."""
-    rational, alternate = _pair_branches(_convergent_for_order(n))
-    return float(_assignment(rational.orbit_at(k), alternate.orbit_at(k))[1].min())
-
-
-def _convergent_for_order(n: int) -> Convergent:
-    if n == 1:
-        return Convergent(0, 1)
-    m, nn = 1, 2
-    while nn < n:
-        m, nn = nn, m + nn
-    if nn != n:
-        raise DomainError(f"order {n} is not a Fibonacci convergent order")
-    return Convergent(m, nn)
 
 
 def nch_distance_curve(

@@ -61,9 +61,6 @@ class PhasePoint:
     def to_torus(self) -> "PhasePoint":
         return PhasePoint(float(wrap_angle(self.q)), float(wrap_momentum(self.p)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q, self.p])
-
     def __iter__(self):
         yield self.q
         yield self.p
@@ -78,11 +75,6 @@ def as_phase_point(x: PointLike) -> PhasePoint:
     return PhasePoint(float(arr[0]), float(arr[1]))
 
 
-def reduce_to_torus(x: PointLike) -> PhasePoint:
-    """Reduce a lifted point to q in [-pi, pi), p in [0, 2*pi); idempotent."""
-    return as_phase_point(x).to_torus()
-
-
 def step_standard(x: PointLike, k: float) -> PhasePoint:
     """One lifted step of the standard map: p' = p + K sin q, q' = q + p'."""
     pt = as_phase_point(x)
@@ -91,23 +83,16 @@ def step_standard(x: PointLike, k: float) -> PhasePoint:
     return PhasePoint(pt.q + p1, p1)
 
 
-# the one map_def that action and euler_lagrange_residual accept
+# the one map_def that euler_lagrange_residual accepts
 STANDARD_MAP = "standard"
 
 
-def tangent_step(x: PointLike, k: float) -> np.ndarray:
-    """Jacobian of the standard map at x, (q, p) ordering; det = 1 exactly."""
-    pt = as_phase_point(x)
-    k = check_stochasticity(k)
-    c = k * math.cos(pt.q)
-    return np.array([[1.0 + c, 1.0], [c, 1.0]])
-
-
 def symplecticity_check(x: PointLike, k: float) -> float:
-    """|det(tangent_step(x, K)) - 1|."""
-    m = tangent_step(x, k)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return abs(det - 1.0)
+    """|det DT(x) - 1| for the tangent map DT = [[1 + c, 1], [c, 1]], c = K cos q,
+    in the rounding of that 2x2 determinant."""
+    pt = as_phase_point(x)
+    c = check_stochasticity(k) * math.cos(pt.q)
+    return abs((1.0 + c) - c - 1.0)
 
 
 def as_points_array(traj) -> np.ndarray:
@@ -126,24 +111,6 @@ def as_points_array(traj) -> np.ndarray:
 def _check_map(map_def) -> None:
     if map_def != STANDARD_MAP:
         raise UnsupportedParameterError(f"only the standard map is implemented, got {map_def!r}")
-
-
-def action(traj, map_def: str = STANDARD_MAP, k: float = 0.0) -> float:
-    """Discrete action S = sum_i [(q_{i+1} - q_i) p_{i+1} - H(q_i, p_{i+1}, K)].
-
-    H(q, p', K) = p'^2/2 + K cos q generates the standard map.  Uses lifted
-    coordinates over consecutive pairs of ``traj``.
-    """
-    _check_map(map_def)
-    pts = as_points_array(traj)
-    if pts.shape[0] < 2:
-        raise DomainError("action needs a trajectory with at least 2 points")
-    k = check_stochasticity(k)
-    q, p = pts[:, 0], pts[:, 1]
-    s = 0.0
-    for i in range(pts.shape[0] - 1):
-        s += (q[i + 1] - q[i]) * p[i + 1] - (0.5 * p[i + 1] * p[i + 1] + k * math.cos(q[i]))
-    return s
 
 
 def euler_lagrange_residual(traj, map_def: str = STANDARD_MAP, k: float = 0.0) -> np.ndarray:
@@ -171,16 +138,6 @@ def euler_lagrange_residual(traj, map_def: str = STANDARD_MAP, k: float = 0.0) -
         rp = (q[i] - q[i - 1]) - p[i]
         out[i - 1] = max(abs(rq), abs(rp))
     return out
-
-
-def iterate_standard(x: PointLike, k: float, nsteps: int) -> PhasePoint:
-    """Apply ``nsteps`` lifted standard-map steps (kernel-backed)."""
-    pt = as_phase_point(x)
-    k = check_stochasticity(k)
-    if nsteps < 0:
-        raise DomainError("nsteps must be >= 0")
-    q, p = _kernels.final_state(pt.q, pt.p, k, int(nsteps))
-    return PhasePoint(q, p)
 
 
 def trajectory_standard(x: PointLike, k: float, nsteps: int) -> np.ndarray:

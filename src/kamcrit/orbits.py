@@ -38,10 +38,9 @@ tests at every Fibonacci order up to 610.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from . import _kernels
 from .errors import ContinuationError, DomainError, RefinementError
 from .mapcore import (
     TWO_PI,
-    PhasePoint,
     as_phase_point,
     check_stochasticity,
     wrap_angle,
@@ -131,17 +129,6 @@ def fibonacci_convergents(depth: int) -> List[Convergent]:
     return out
 
 
-@dataclass(frozen=True)
-class KamCurveTarget:
-    """Target irrational winding number of a KAM curve (default golden mean)."""
-
-    alpha: float = GOLDEN_MEAN
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"target winding must lie in (0, 1), got {self.alpha}")
-
-
 @dataclass
 class PeriodicOrbit:
     """An n-point periodic invariant set with winding m/n at stochasticity K.
@@ -175,17 +162,11 @@ class PeriodicOrbit:
     def winding(self) -> float:
         return self.convergent.winding
 
-    def seed(self) -> PhasePoint:
-        return PhasePoint(float(self.points[0, 0]), float(self.points[0, 1]))
-
     def torus_points(self) -> np.ndarray:
         out = np.empty_like(self.points)
         out[:, 0] = wrap_angle(self.points[:, 0])
         out[:, 1] = wrap_momentum(self.points[:, 1])
         return out
-
-    def phase_points(self) -> List[PhasePoint]:
-        return [PhasePoint(float(q), float(p)) for q, p in self.points]
 
     def to_record(self) -> dict:
         return {
@@ -198,9 +179,6 @@ class PeriodicOrbit:
             "closure_error": self.closure_error,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
-
     def to_csv_rows(self) -> List[str]:
         """CSV lines (one point per row), 17 significant digits."""
         rows = ["m,n,K,family,line,index,q,p,closure_error"]
@@ -210,15 +188,6 @@ class PeriodicOrbit:
                 f"{i},{q:.17g},{p:.17g},{self.closure_error:.17g}"
             )
         return rows
-
-
-@dataclass
-class OrbitFailure:
-    """Per-convergent error marker used in partial family results."""
-
-    convergent: Convergent
-    message: str
-    family: str = FAMILY_RATIONAL
 
 
 # --------------------------------------------------------------------------
@@ -594,7 +563,10 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
     q=p/2+c has one unknown x = q_0, the root of
     f(x) = 2 pi + 4c - 4x - K sin x; it starts at x0 = c + pi/2 at K = 0 and
     stays between x0 and x0 - (pi/2) sin x0, where f' = -4 - K cos x < 0, so
-    it is solved there by :func:`brentq` at any K.  Family and line tags are
+    it is solved there by :func:`brentq` at any K, and the orbit is
+    (x, 2c + 2 pi m - x) at that root, with no Newton polish: near 2 pi the
+    Euler-Lagrange residual cannot fall below K ulp(2 pi), which exceeds
+    Newton's tolerance above K of about 1100.  Family and line tags are
     preserved.
     """
     k_target = check_stochasticity(k_target)
@@ -607,7 +579,7 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
         x0 = c + 0.5 * math.pi
         root = brentq(lambda x: TWO_PI + 4.0 * c - 4.0 * x - k_target * math.sin(x),
                       x0, x0 - 0.5 * math.pi * math.sin(x0), xtol=0.0)
-        return _solve_symmetric(orbit, k_target, x0=np.array([root]))
+        return _orbit_from_angles(np.array([root, 2.0 * c + TWO_PI * orbit.m - root]), orbit, k_target)
     current = orbit
     for current in _steps(orbit, k_target):
         pass
@@ -681,63 +653,23 @@ def alternate_orbit(c: Convergent, k: float) -> PeriodicOrbit:
     return OrbitBranch(c, FAMILY_ALTERNATE).orbit_at(k)
 
 
-def _iterates(k: float, depth: int, family: str) -> List[Union[PeriodicOrbit, OrbitFailure]]:
-    k = check_stochasticity(k)
-    out: List[Union[PeriodicOrbit, OrbitFailure]] = []
-    for c in fibonacci_convergents(depth):
-        try:
-            out.append(OrbitBranch(c, family).orbit_at(k))
-        except (RefinementError, ContinuationError) as err:
-            out.append(OrbitFailure(c, str(err), family))
-    return out
-
-
-def rational_iterates(k: float, depth: int) -> List[Union[PeriodicOrbit, OrbitFailure]]:
-    """Rational-family orbits for the Fibonacci convergents up to ``depth``.
-
-    Failures are returned in place as :class:`OrbitFailure` markers so that
-    partial sweeps stay usable.
-    """
-    return _iterates(k, depth, FAMILY_RATIONAL)
-
-
-def alternate_iterates(k: float, depth: int) -> List[Union[PeriodicOrbit, OrbitFailure]]:
-    """Alternate-family orbits (second symmetry-line family)."""
-    return _iterates(k, depth, FAMILY_ALTERNATE)
-
-
 # --------------------------------------------------------------------------
 # winding numbers
 # --------------------------------------------------------------------------
 
-def winding_number(x0, k: float, iters: Optional[int] = None) -> float:
-    """Rotation number (q_iters - q_0) / (2*pi*iters) on the lift.
-
-    With ``iters=None`` the budget is 1e5 iterations in blocks of 1e4 with
-    early exit once two successive block estimates agree to 1e-10.
-    """
+def winding_number(x0, k: float, iters: int) -> float:
+    """Rotation number (q_iters - q_0) / (2*pi*iters) on the lift."""
     pt = as_phase_point(x0)
     k = check_stochasticity(k)
-    if iters is not None:
-        iters = int(iters)
-        if iters < 1:
-            raise DomainError("iters must be >= 1")
-    total = iters if iters is not None else 100_000
+    iters = int(iters)
+    if iters < 1:
+        raise DomainError("iters must be >= 1")
     # the lift is carried as whole turns plus an angle reduced every 1000
     # steps, so a step rounds at ulp(q) of a few thousand, not of the lift
     turns, q, p = 0, pt.q, pt.p
-    done = 0
-    prev = None
-    while done < total:
-        chunk = min(1000, total - done)
-        q, p = _kernels.final_state(q, p, k, chunk)
+    for done in range(0, iters, 1000):
+        q, p = _kernels.final_state(q, p, k, min(1000, iters - done))
         whole = math.floor(q / TWO_PI)
         turns += whole
         q -= whole * TWO_PI
-        done += chunk
-        est = (turns + (q - pt.q) / TWO_PI) / done
-        if iters is None and done % 10_000 == 0:
-            if prev is not None and abs(est - prev) < 1e-10:
-                return est
-            prev = est
-    return est
+    return (turns + (q - pt.q) / TWO_PI) / iters

@@ -102,6 +102,8 @@ class ScanConfig:
         }
 
     def content_hash(self) -> str:
+        """SHA-256 of the canonical record without ``output_dir``: one science
+        config hashes alike whichever directory it writes to."""
         # the interpreter's built-in SHA-256, as random.py takes its sha512:
         # hashlib would load OpenSSL's libcrypto for this one digest
         try:
@@ -111,8 +113,9 @@ class ScanConfig:
                 from _sha256 import sha256  # CPython 3.10-3.11
             except ImportError:
                 from hashlib import sha256
-        canon = json.dumps(self.to_record(), sort_keys=True)
-        return sha256(canon.encode()).hexdigest()
+        record = self.to_record()
+        del record["output_dir"]
+        return sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
 def _parse_real_list(text: str) -> List[float]:
@@ -297,7 +300,13 @@ def _csv_body(rows: Sequence[Row]) -> str:
 @contextlib.contextmanager
 def staged(path: Path):
     """Yield a text file open on ``<name>.tmp`` and rename it over ``path``
-    when the block succeeds; when anything raises, delete it instead."""
+    when the block succeeds; when anything raises, delete it instead.  A
+    device, FIFO or socket at ``path`` is written in place, since a rename
+    would replace it with a regular file."""
+    if path.exists() and not (path.is_file() or path.is_dir()):
+        with path.open("w") as fh:
+            yield fh
+        return
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w") as fh:

@@ -50,11 +50,6 @@ class Monodromy:
     def trace(self) -> float:
         return float(self.matrix[0, 0] + self.matrix[1, 1])
 
-    @property
-    def det(self) -> float:
-        m = self.matrix
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -63,16 +58,16 @@ class StabilityReport:
     classification: str
     lyapunov: float
 
-    def to_record(self, orbit: Optional[PeriodicOrbit] = None) -> dict:
-        rec = {
+    def to_record(self, orbit: PeriodicOrbit) -> dict:
+        return {
+            "m": orbit.m,
+            "n": orbit.n,
+            "K": orbit.K,
             "trace": self.trace,
             "residue": self.residue,
             "class": self.classification,
             "lyapunov": self.lyapunov,
         }
-        if orbit is not None:
-            rec = {"m": orbit.m, "n": orbit.n, "K": orbit.K, **rec}
-        return rec
 
 
 def monodromy(orbit: PeriodicOrbit) -> Monodromy:
@@ -120,10 +115,6 @@ def classify(m, n: Optional[int] = None) -> StabilityReport:
         rad = 0.5 * (abs(tr) + math.sqrt(tr * tr - 4.0))
         lam = math.log(rad) / n
     return StabilityReport(trace=tr, residue=r, classification=cls, lyapunov=lam)
-
-
-def orbit_report(orbit: PeriodicOrbit) -> StabilityReport:
-    return classify(monodromy(orbit))
 
 
 # --------------------------------------------------------------------------

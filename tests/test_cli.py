@@ -373,7 +373,8 @@ def _cold_imports(argv):
 
 
 @pytest.mark.parametrize("argv", [["-c", "import kamcrit"], ["-m", "kamcrit.cli", "--version"],
-                                  ["-c", "import kamcrit; kamcrit.nch_distance(3, 0.5)"]],
+                                  ["-c", "import kamcrit as kc; "
+                                   "kc.nch_distance_curve(kc.Convergent(2, 3), [0.4, 0.5, 0.6])"]],
                          ids=["import", "cli-version", "match"])
 def test_import_and_version_load_no_scipy(argv):
     # numpy is kamcrit's only runtime dependency, matching orbits included

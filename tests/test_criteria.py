@@ -159,7 +159,7 @@ def test_period2_pair_distances_closed_form():
     assert len(pairs) == 2
     got = sorted(d for _, _, d in pairs)
     np.testing.assert_allclose(got, expected, atol=1e-9)
-    assert abs(kc.nch_distance(2, k) - expected[0]) < 1e-9
+    assert abs(min(got) - expected[0]) < 1e-9
 
 
 # --- distance curves -----------------------------------------------------------
@@ -167,7 +167,7 @@ def test_period2_pair_distances_closed_form():
 def test_nch_distance_integrable_limit():
     # at K -> 0 the families sit on p = 2*pi*m/n, offset only in q
     k = 1e-3
-    got = kc.nch_distance(3, k)
+    got = kc.nch_distance_curve(kc.Convergent(2, 3), [k, 2 * k, 3 * k]).samples[0][1]
     i_line = kc.rational_orbit(kc.Convergent(2, 3), k).line
     y_line = kc.alternate_orbit(kc.Convergent(2, 3), k).line
     q_i = 0.0 if i_line == kc.LINE_Q0 else math.pi

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kamcrit as kc
+from kamcrit import _kernels
 from kamcrit.errors import DomainError, UnsupportedParameterError
 from kamcrit.mapcore import STANDARD_MAP, as_points_array
 
@@ -37,14 +38,19 @@ def test_step_rejects_nonfinite():
 
 # --- tangent map / symplecticity --------------------------------------------
 
+def _tangent(q, k):
+    """The tangent map at angle q: the one-factor monodromy product."""
+    return np.reshape(_kernels.monodromy_product(np.array([q]), k)[:4], (2, 2))
+
+
 def test_tangent_closed_forms():
-    np.testing.assert_allclose(kc.tangent_step((math.pi, 0.0), 1.0), [[0, 1], [-1, 1]], atol=1e-15)
-    np.testing.assert_allclose(kc.tangent_step((0.0, 0.0), 2.0), [[3, 1], [2, 1]], atol=0)
-    np.testing.assert_allclose(kc.tangent_step((1.7, 0.3), 0.0), [[1, 1], [0, 1]], atol=0)
+    np.testing.assert_allclose(_tangent(math.pi, 1.0), [[0, 1], [-1, 1]], atol=1e-15)
+    np.testing.assert_allclose(_tangent(0.0, 2.0), [[3, 1], [2, 1]], atol=0)
+    np.testing.assert_allclose(_tangent(1.7, 0.0), [[1, 1], [0, 1]], atol=0)
 
 
 def test_tangent_trace():
-    m = kc.tangent_step((math.pi, 0.0), 1.0)
+    m = _tangent(math.pi, 1.0)
     assert abs(np.trace(m) - 1.0) < 1e-15
 
 
@@ -66,27 +72,27 @@ def test_symplecticity_examples():
 # --- torus reduction ---------------------------------------------------------
 
 def test_reduce_examples():
-    pt = kc.reduce_to_torus((3 * math.pi, -math.pi / 2))
+    pt = kc.PhasePoint(3 * math.pi, -math.pi / 2).to_torus()
     assert pt.q == -math.pi
     assert abs(pt.p - 3 * math.pi / 2) < 1e-15
-    assert tuple(kc.reduce_to_torus((0.0, 0.0))) == (0.0, 0.0)
-    pt = kc.reduce_to_torus((-math.pi - 1e-9, TWO_PI))
+    assert tuple(kc.PhasePoint(0.0, 0.0).to_torus()) == (0.0, 0.0)
+    pt = kc.PhasePoint(-math.pi - 1e-9, TWO_PI).to_torus()
     assert abs(pt.q - (math.pi - 1e-9)) < 1e-12
     assert pt.p == 0.0
 
 
 def test_boundary_convention():
-    assert kc.reduce_to_torus((math.pi, TWO_PI)).q == -math.pi
-    assert kc.reduce_to_torus((math.pi, TWO_PI)).p == 0.0
+    assert kc.PhasePoint(math.pi, TWO_PI).to_torus().q == -math.pi
+    assert kc.PhasePoint(math.pi, TWO_PI).to_torus().p == 0.0
 
 
 @settings(max_examples=200, deadline=None)
 @given(q=st.floats(-1e3, 1e3), p=st.floats(-1e3, 1e3))
 def test_reduce_idempotent_and_in_range(q, p):
-    once = kc.reduce_to_torus((q, p))
+    once = kc.PhasePoint(q, p).to_torus()
     assert -math.pi <= once.q < math.pi
     assert 0.0 <= once.p < TWO_PI
-    twice = kc.reduce_to_torus(once)
+    twice = once.to_torus()
     assert twice.q == once.q and twice.p == once.p
 
 
@@ -95,54 +101,19 @@ def test_lift_consistency():
     for _ in range(200):
         x = (rng.uniform(-20, 20), rng.uniform(-20, 20))
         k = rng.uniform(0, 2)
-        a = kc.reduce_to_torus(kc.step_standard(x, k))
-        b = kc.step_standard(kc.reduce_to_torus(x), k).to_torus()
+        a = kc.step_standard(x, k).to_torus()
+        b = kc.step_standard(kc.PhasePoint(*x).to_torus(), k).to_torus()
         assert abs(a.q - b.q) < 1e-10
         assert abs(a.p - b.p) < 1e-10
 
 
-# --- action ------------------------------------------------------------------
-
-def test_action_integrable_closed_form():
-    # constant-p orbit over one period: S = n * (2*pi*m/n)^2 / 2
-    m, n = 2, 5
-    p = TWO_PI * m / n
-    traj = [(i * p, p) for i in range(n + 1)]
-    s = kc.action(traj, STANDARD_MAP, 0.0)
-    assert abs(s - n * p * p / 2) < 1e-12
-
-
-def test_action_single_segment():
-    s = kc.action([(0.0, 0.0), (0.0, 0.0)], STANDARD_MAP, 1.0)
-    assert s == -1.0
-
-
-def test_action_against_resummation_oracle():
-    k = 0.5
-    traj = kc.trajectory_standard((0.4, 1.3), k, 10)
-    s = kc.action(traj, STANDARD_MAP, k)
-    q, p = traj[:, 0], traj[:, 1]
-    terms = [
-        (q[i + 1] - q[i]) * p[i + 1] - (0.5 * p[i + 1] ** 2 + k * math.cos(q[i]))
-        for i in range(10)
-    ]
-    assert abs(s - math.fsum(terms)) < 1e-12
-
-
-def test_action_needs_two_points():
-    with pytest.raises(DomainError):
-        kc.action([(0.0, 0.0)], STANDARD_MAP, 1.0)
-
+# --- Euler-Lagrange residual -------------------------------------------------
 
 def test_action_and_residual_reject_other_maps():
     traj = kc.trajectory_standard((0.4, 1.3), 0.5, 4)
     with pytest.raises(UnsupportedParameterError):
-        kc.action(traj, "henon", 0.5)
-    with pytest.raises(UnsupportedParameterError):
         kc.euler_lagrange_residual(traj, "henon", 0.5)
 
-
-# --- Euler-Lagrange residual -------------------------------------------------
 
 def test_el_residual_vanishes_on_trajectories():
     traj = kc.trajectory_standard((0.37, 2.11), 1.0, 50)

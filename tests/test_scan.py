@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 
 import pytest
 
@@ -35,8 +36,13 @@ def test_content_hash_is_sha256_of_canonical_record(methods, depth, grid, tmp_pa
     import hashlib
 
     cfg = parse_scan_config(_cfg_text(tmp_path / "out", methods, depth, grid))
-    canon = json.dumps(cfg.to_record(), sort_keys=True).encode()
+    record = cfg.to_record()
+    del record["output_dir"]
+    canon = json.dumps(record, sort_keys=True).encode()
     assert cfg.content_hash() == hashlib.sha256(canon).hexdigest()
+    # the output directory is where a config writes, not what it computes
+    elsewhere = parse_scan_config(_cfg_text(tmp_path / "elsewhere", methods, depth, grid))
+    assert elsewhere.content_hash() == cfg.content_hash()
 
 
 def test_parse_range_syntax(tmp_path):
@@ -147,6 +153,21 @@ def test_write_atomic_failure_leaves_no_file(tmp_path):
         write_atomic(target, "ok\n\ud800")
     assert not target.exists()
     assert not (tmp_path / "x.csv.tmp").exists()
+
+
+def test_staged_writes_a_fifo_in_place(tmp_path):
+    # a rename would replace the FIFO (or a device such as /dev/null) with a
+    # regular file; the reader end opens non-blocking, so the write never waits
+    target = tmp_path / "pipe"
+    os.mkfifo(target)
+    reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_atomic(target, "through the pipe\n")
+        assert stat.S_ISFIFO(os.stat(target).st_mode)
+        assert os.read(reader, 1024) == b"through the pipe\n"
+    finally:
+        os.close(reader)
+    assert not (tmp_path / "pipe.tmp").exists()
 
 
 def test_run_scan_greene_rowcount(tmp_path):

@@ -114,7 +114,7 @@ def test_classify_hyperbolic_partner():
 
 def test_report_record_fields():
     orb = _orbit(1, 2, 0.5)
-    rec = kc.orbit_report(orb).to_record(orb)
+    rec = kc.classify(kc.monodromy(orb)).to_record(orb)
     assert set(rec) == {"m", "n", "K", "trace", "residue", "class", "lyapunov"}
 
 
