@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, _kernels
 from .criteria import chirikov_kcrit, chirikov_overlap, greene_kcrit, nch_kcrit
-from .errors import ConfigError, DomainError, KamcritError, UnsupportedParameterError
+from .errors import ConfigError, KamcritError
 from .mapcore import TWO_PI, check_stochasticity, wrap_angle, wrap_momentum
 from .orbits import (
     ALL_LINES,
@@ -36,15 +36,7 @@ from .scan import (
     write_atomic,
     write_merged,
 )
-from .stability import classify, monodromy
-
-
-
-def _parse_grid(spec: str):
-    grid = _parse_real_list(spec)
-    if not grid:
-        raise ConfigError(f"empty K grid {spec!r}")
-    return grid
+from .stability import DEFAULT_TOL_K, classify, monodromy
 
 
 def _summary(**fields) -> str:
@@ -119,7 +111,7 @@ def cmd_kcrit_greene(args) -> int:
 
 
 def cmd_kcrit_nch(args) -> int:
-    grid = _parse_grid(args.k_grid)
+    grid = _parse_real_list(args.k_grid)
     greene_value = None
     if args.greene_depth:
         greene_value = greene_kcrit(depth=args.greene_depth).k_crit
@@ -257,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kcrit-greene", help="destabilization thresholds and extrapolated K_crit")
     p.add_argument("--depth", type=int, required=True,
                    help="number of Fibonacci convergents (8 reaches order 55)")
-    p.add_argument("--tol-k", type=float, default=1e-6, help="K* within tol-k/2 of R = 1 (default 1e-6)")
+    p.add_argument("--tol-k", type=float, default=DEFAULT_TOL_K,
+                   help="K* within tol-k/2 of R = 1 (default 1e-6)")
     p.add_argument("--out", default=None, help="output JSON file")
     p.set_defaults(func=cmd_kcrit_greene)
 
@@ -301,12 +294,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, UnsupportedParameterError, OSError) as err:
+    except (KamcritError, OSError) as err:
+        # usage errors exit 2: OSError and the kinds that are also ValueErrors
+        # (ConfigError, DomainError, UnsupportedParameterError); any other
+        # kind is a numeric failure and exits 1
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except KamcritError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, (ValueError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .orbits import (
     PeriodicOrbit,
     fibonacci_convergents,
 )
-from .stability import check_tol_k, find_destabilization
+from .stability import DEFAULT_TOL_K, check_tol_k, find_destabilization
 
 __all__ = [
     "CriterionResult",
@@ -170,7 +170,7 @@ def _extrapolation_label(accelerated: bool) -> str:
 def greene_kcrit(
     depth: int = 8,
     convergents: Optional[Sequence[Convergent]] = None,
-    tol_k: float = 1e-6,
+    tol_k: float = DEFAULT_TOL_K,
 ) -> CriterionResult:
     """Destabilization thresholds K*(n) over the convergent family, extrapolated.
 
@@ -190,7 +190,7 @@ def greene_kcrit(
     for c in cs:
         try:
             k_star, info = find_destabilization(c, tol_k=tol_k)
-        except (BracketingError, RefinementError, ContinuationError, DomainError) as err:
+        except (BracketingError, RefinementError, ContinuationError) as err:
             failures.append({"n": c.n, "error": str(err)})
             continue
         per_n.append((c.n, k_star))
@@ -269,17 +269,15 @@ def match_elliptic_points(a: PeriodicOrbit, b: PeriodicOrbit) -> List[Tuple[int,
     return [(i, int(j), float(d)) for i, (j, d) in enumerate(zip(cols, costs))]
 
 
-def _pair_branches(c: Convergent) -> Tuple[OrbitBranch, OrbitBranch]:
-    return OrbitBranch(c, FAMILY_RATIONAL), OrbitBranch(c, FAMILY_ALTERNATE)
-
-
 def nch_distance_curve(
     c: Convergent,
     k_grid: Sequence[float],
     branches: Optional[Tuple[OrbitBranch, OrbitBranch]] = None,
 ) -> DistanceCurve:
     """Distance curve d(K) for one order over an ascending K grid."""
-    rational, alternate = branches if branches is not None else _pair_branches(c)
+    if branches is None:
+        branches = OrbitBranch(c, FAMILY_RATIONAL), OrbitBranch(c, FAMILY_ALTERNATE)
+    rational, alternate = branches
     samples = []
     for k in k_grid:
         a = rational.orbit_at(float(k))

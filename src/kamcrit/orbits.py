@@ -347,7 +347,7 @@ def _half_layout(orbit: PeriodicOrbit) -> Tuple[float, int, int, bool, np.ndarra
     ``fold`` holds those mirror terms of the Jacobian diagonal.
     """
     line, n = orbit.line, orbit.n
-    c = 0.0 if line in (LINE_Q0, LINE_DIAG) else math.pi
+    c = line_seed(line, 0.0)[0]  # the line's q at p = 0; DomainError off the four lines
     on_q = line in RATIONAL_LINES
     first = 1 if on_q else 0
     h = (n - 1) // 2 if on_q else n // 2
@@ -402,12 +402,10 @@ def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]
     norm: a corrector that moves further than the predictor has left the
     branch (Allgower & Georg, Numerical Continuation Methods).  Newton
     stops as soon as its residual fails to fall outside that reach.  A
-    ``LINE_NONE`` orbit starts Newton on the full cyclic system from its own
-    angles, unguarded.  A Newton failure is a refusal too.
+    Newton failure is a refusal too; an orbit on no symmetry line raises
+    :class:`DomainError`.
     """
     try:
-        if prev.line == LINE_NONE:
-            return refine_multishoot(replace(prev, K=k), 1e-12, 12)
         _, first, h, _, fold = layout = _half_layout(prev)
         x = prev.points[first:first + h, 0]  # empty (h = 0) for n = 2 on q=0 or q=pi
         t = np.array(_thomas((-2.0 - prev.K * np.cos(x) + fold).tolist(), np.sin(x).tolist())) if h else x
@@ -551,13 +549,12 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
     current K); the step is refused when the corrector lands further from
     the predictor than the predictor is from x, which is how a switch to a
     neighbouring orbit shows, and at the first Newton iterate beyond that
-    reach whose residual does not fall (:func:`_continuation_step`).
-    ``LINE_NONE`` orbits take an unguarded step on the full cyclic system
-    from the current angles.  The step adapts: it grows by 1.6 after each
-    accepted step up to ``_DK_MAX``, halves whenever Newton fails or the
-    guard refuses, and stops with :class:`ContinuationError` (reporting the
-    last good K) at the floor 1e-6, which signals an orbit collision or
-    bifurcation.  :meth:`OrbitBranch.climb` yields the same steps one at a
+    reach whose residual does not fall (:func:`_continuation_step`).  An
+    orbit on no symmetry line raises :class:`DomainError`.  The step
+    adapts: it grows by 1.6 after each accepted step up to ``_DK_MAX``,
+    halves whenever Newton fails or the guard refuses, and stops with
+    :class:`ContinuationError` (reporting the last good K) at the floor
+    1e-6, which signals an orbit collision or bifurcation.  :meth:`OrbitBranch.climb` yields the same steps one at a
     time.  The fixed points (n = 1) and the 1/2 orbit (c, c + pi) on q=c do
     not move with K and are returned in closed form.  The 1/2 orbit on
     q=p/2+c has one unknown x = q_0, the root of

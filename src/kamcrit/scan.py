@@ -31,8 +31,7 @@ import io
 import json
 import math
 import os
-import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,23 +39,13 @@ from . import __version__
 from .errors import ConfigError, DomainError, KamcritError, MergeConflictError
 from .criteria import chirikov_overlap, nch_distance_curve
 from .orbits import Convergent, fibonacci_convergents
-from .stability import check_tol_k, find_destabilization
+from .stability import DEFAULT_TOL_K, check_tol_k, find_destabilization
 
 METHODS = ("greene", "nch", "chirikov")
 _KNOWN_TOLERANCES = ("k_star",)
 _MAX_RANGE_POINTS = 10_000
 
 Row = Tuple[str, int, str, float]  # (method, n, K_or_stat, value)
-
-
-def __getattr__(name):
-    # the process pool is bound on first use, so a process that never runs
-    # a multi-worker scan never imports multiprocessing
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -209,16 +198,7 @@ class RunManifest:
     failed: int
 
     def to_record(self) -> dict:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "config_sha256": self.config_sha256,
-            "started": self.started,
-            "finished": self.finished,
-            "tasks": self.tasks,
-            "ok": self.ok,
-            "failed": self.failed,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------
@@ -243,13 +223,10 @@ def _task_chirikov(payload) -> List[Row]:
     return [("chirikov", 0, _fmt(k), rho)]
 
 
-_TASK_BODIES = {"greene": _task_greene, "nch": _task_nch, "chirikov": _task_chirikov}
-
-
 def _run_task(task) -> Tuple[str, str, Optional[List[Row]], Optional[str]]:
-    task_id, kind, payload = task
+    task_id, body, payload = task
     try:
-        rows = _TASK_BODIES[kind](payload)
+        rows = body(payload)
         return task_id, "ok", rows, None
     except KamcritError as err:
         return task_id, "failed", None, str(err)
@@ -273,18 +250,18 @@ def worker_count(override: Optional[int] = None) -> int:
 
 
 def _build_tasks(cfg: ScanConfig):
-    tol_k = cfg.tolerances.get("k_star", 1e-6)
+    tol_k = cfg.tolerances.get("k_star", DEFAULT_TOL_K)
     tasks = []
     for method in cfg.methods:
         if method == "greene":
             for c in fibonacci_convergents(cfg.depth):
-                tasks.append((f"greene:n={c.n}", "greene", (c.m, c.n, tol_k)))
+                tasks.append((f"greene:n={c.n}", _task_greene, (c.m, c.n, tol_k)))
         elif method == "nch":
             for c in fibonacci_convergents(cfg.depth):
-                tasks.append((f"nch:n={c.n}", "nch", (c.m, c.n, list(cfg.k_grid))))
+                tasks.append((f"nch:n={c.n}", _task_nch, (c.m, c.n, list(cfg.k_grid))))
         elif method == "chirikov":
             for k in cfg.k_grid:
-                tasks.append((f"chirikov:K={_fmt(k)}", "chirikov", (float(k),)))
+                tasks.append((f"chirikov:K={_fmt(k)}", _task_chirikov, (float(k),)))
     return tasks
 
 
@@ -335,10 +312,11 @@ def run_scan(cfg: ScanConfig, threads: Optional[int] = None) -> RunManifest:
     tasks = _build_tasks(cfg)
     workers = min(worker_count(threads), len(tasks))
 
-    results = []
     if workers > 1:
-        # through the module attribute, which the module __getattr__ binds
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+        # imported here, so a process that never runs a pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(t) for t in tasks]
@@ -389,8 +367,12 @@ def _read_rows(directory: Path) -> List[Row]:
             header = next(reader, None)
             if header != ["method", "n", "K_or_stat", "value"]:
                 raise MergeConflictError(f"{csv_path} has an unexpected header {header!r}")
-            for method, n, k_or_stat, value in reader:
-                rows.append((method, int(n), k_or_stat, float(value)))
+            for row in reader:
+                try:
+                    method, n, k_or_stat, value = row
+                    rows.append((method, int(n), k_or_stat, float(value)))
+                except ValueError as err:
+                    raise MergeConflictError(f"{csv_path} line {reader.line_num}: malformed row {row!r}") from err
     return rows
 
 

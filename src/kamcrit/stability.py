@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import BracketingError, DomainError
+from .errors import BracketingError, DomainError, RefinementError
 from .orbits import (
     FAMILY_RATIONAL,
     Convergent,
@@ -71,9 +71,10 @@ class StabilityReport:
 
 
 def monodromy(orbit: PeriodicOrbit) -> Monodromy:
-    """Monodromy of a periodic orbit (closure must hold to 1e-9)."""
+    """Monodromy of a periodic orbit; :class:`RefinementError` unless its
+    closure holds to 1e-9."""
     if not math.isfinite(orbit.closure_error) or orbit.closure_error > 1e-9:
-        raise DomainError(
+        raise RefinementError(
             f"orbit closure {orbit.closure_error:g} exceeds 1e-9; refine before taking the monodromy"
         )
     m11, m12, m21, m22, det_prod = _kernels.monodromy_product(orbit.points[:, 0], orbit.K)
@@ -122,6 +123,7 @@ def classify(m, n: Optional[int] = None) -> StabilityReport:
 # --------------------------------------------------------------------------
 
 _K_MAX = 4.5  # the top of the upward walk that brackets R = 1
+DEFAULT_TOL_K = 1e-6  # each K*(n) lies within half of it of the crossing
 
 
 def check_tol_k(tol_k: float) -> float:
@@ -136,7 +138,7 @@ def destabilization_K(
     c: Convergent,
     line: Optional[str] = None,
     family: str = FAMILY_RATIONAL,
-    tol_k: float = 1e-6,
+    tol_k: float = DEFAULT_TOL_K,
 ) -> float:
     """Stochasticity at which the orbit's residue crosses 1 (trace -> -2);
     the K* of :func:`find_destabilization`."""
@@ -147,7 +149,7 @@ def find_destabilization(
     c: Convergent,
     family: str = FAMILY_RATIONAL,
     line: Optional[str] = None,
-    tol_k: float = 1e-6,
+    tol_k: float = DEFAULT_TOL_K,
 ) -> Tuple[float, dict]:
     """Walk K upward until the residue crosses 1, then solve for the crossing.
 

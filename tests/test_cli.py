@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -16,6 +18,7 @@ import kamcrit
 from kamcrit import OrbitBranch
 from kamcrit._kernels import batch_trajectory
 from kamcrit.cli import _parse_seeds, build_parser, main
+from kamcrit.errors import BracketingError
 from kamcrit.mapcore import wrap_angle, wrap_momentum
 
 TWO_PI = 2 * math.pi
@@ -95,6 +98,43 @@ def test_residue_fixed_point(capsys):
     fields = _kv(_last_line(capsys))
     assert abs(float(fields["trace"]) - 1.0) < 1e-12
     assert abs(float(fields["residue"]) - 0.25) < 1e-12
+
+
+def test_residue_out_json_fields(tmp_path, capsys):
+    # the 1/2 orbit on q=0: R = K^2/4, elliptic below K = 2
+    out = tmp_path / "residue.json"
+    assert main(["residue", "--m", "1", "--n", "2", "--K", "0.5", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert sorted(rec) == ["K", "class", "lyapunov", "m", "n", "residue", "trace"]
+    assert (rec["m"], rec["n"], rec["K"], rec["class"], rec["lyapunov"]) == (1, 2, 0.5, "elliptic", 0.0)
+    assert rec["residue"] == pytest.approx(0.0625, abs=1e-12)
+    assert rec["trace"] == pytest.approx(2.0 - 4.0 * rec["residue"], abs=1e-12)
+    assert float(_kv(_last_line(capsys))["residue"]) == pytest.approx(rec["residue"], rel=1e-11)
+
+
+def test_residue_closure_refusal_is_numeric_failure(monkeypatch, capsys):
+    # the monodromy refuses an orbit whose closure exceeds 1e-9: exit 1, not 2
+    real = OrbitBranch.orbit_at
+    monkeypatch.setattr(OrbitBranch, "orbit_at",
+                        lambda self, k: replace(real(self, k), closure_error=1e-6))
+    assert main(["residue", "--m", "2", "--n", "3", "--K", "0.5"]) == 1
+    assert "orbit closure 1e-06 exceeds 1e-9" in capsys.readouterr().err
+
+
+def test_kcrit_greene_too_few_thresholds_is_numeric_failure(monkeypatch, capsys):
+    # only K*(2) remains of three orders, fewer than Aitken's three
+    real = kamcrit.criteria.find_destabilization
+
+    def only_order2(c, **kw):
+        if c.n > 2:
+            raise BracketingError(f"no crossing for {c}")
+        return real(c, **kw)
+
+    monkeypatch.setattr(kamcrit.criteria, "find_destabilization", only_order2)
+    assert main(["kcrit-greene", "--depth", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "error: only 1 of 3 thresholds available" in err
+    assert "warning: n=3 refused: no crossing for 2/3" in err
 
 
 def test_kcrit_greene_depth1_degenerate(tmp_path, capsys):
@@ -184,6 +224,14 @@ def test_chirikov_single_k(capsys):
     assert main(["chirikov", "--K", "0.04"]) == 0
     fields = _kv(_last_line(capsys))
     assert abs(float(fields["rho"]) - 0.127) < 0.02
+
+
+def test_chirikov_threshold_summary(capsys):
+    assert main(["chirikov"]) == 0
+    fields = _kv(_last_line(capsys))
+    assert fields["method"] == "chirikov"
+    assert abs(float(fields["K_crit"]) - 2.47) <= 0.25
+    assert float(fields["pendulum_crossing"]) == pytest.approx((math.pi / 2) ** 2, rel=1e-11)
 
 
 def test_chirikov_escape_is_numeric_failure(tmp_path, capsys):
@@ -349,6 +397,18 @@ def test_exit_code_table(argv, code, tmp_path, capsys):
 def test_exit_code_table_covers_every_subcommand():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == {argv[0] for argv, _ in EXIT_CODES}
+
+
+def test_readme_commands_parse():
+    # every `kamcrit ...` line of README's sh blocks is a valid command line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("kamcrit ")]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a bad flag exits 2 through SystemExit
 
 
 def test_help_exits_zero():

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 import kamcrit as kc
-from kamcrit.errors import DomainError, RefinementError
+from kamcrit.errors import ContinuationError, DomainError, RefinementError
 from kamcrit.orbits import closure_residual, refine_multishoot
 
 TWO_PI = 2 * math.pi
@@ -602,6 +602,23 @@ def test_continue_order5_to_transition():
     assert moved.closure_error <= 1e-9
     rq, rp = closure_residual(moved.points[0, 0], moved.points[0, 1], 3, 5, 0.97)
     assert max(abs(rq), abs(rp)) <= 1e-9
+
+
+def test_continuation_stall_reports_last_good_k(monkeypatch):
+    # every step past K = 0.3 is refused, so the step halves towards 0.3
+    # until it falls below the 1e-6 floor
+    real = kc.orbits._continuation_step
+    monkeypatch.setattr(kc.orbits, "_continuation_step",
+                        lambda prev, k: None if k > 0.3 else real(prev, k))
+    with pytest.raises(ContinuationError, match="stalled") as err:
+        kc.continue_in_K(kc.rational_orbit(kc.Convergent(3, 5), 0.0), 0.5)
+    assert 0.3 - 1e-5 < err.value.last_good_k <= 0.3
+
+
+def test_continuation_refuses_an_orbit_on_no_line():
+    orb = replace(kc.rational_orbit(kc.Convergent(3, 5), 0.5), line=kc.orbits.LINE_NONE)
+    with pytest.raises(DomainError, match="unknown symmetry line"):
+        kc.continue_in_K(orb, 0.6)
 
 
 def test_branch_cache_tie_continues_from_lower_k():

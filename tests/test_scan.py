@@ -6,6 +6,7 @@ import stat
 import pytest
 
 from kamcrit import Convergent, greene_kcrit, nch_distance_curve, scan
+from kamcrit.cli import main
 from kamcrit.errors import ConfigError, MergeConflictError
 from kamcrit.scan import merge_results, parse_scan_config, run_scan, worker_count, write_atomic
 
@@ -136,7 +137,7 @@ def test_worker_count_env(monkeypatch, tmp_path):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     manifest = run_scan(parse_scan_config(_cfg_text(tmp_path / "run", depth=2)))
     assert manifest.ok == 2
     assert pools == [2]
@@ -296,6 +297,18 @@ def test_merge_conflict_names_key(tmp_path):
     with pytest.raises(MergeConflictError) as err:
         merge_results([a, b])
     assert "chirikov" in str(err.value)
+
+
+@pytest.mark.parametrize("row", ["greene,x,K_star,1.0", "greene,2,K_star"])
+def test_merge_malformed_row_names_file_and_line(row, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text("{}\n")
+    (run / "greene.csv").write_text(f"method,n,K_or_stat,value\ngreene,3,K_star,1.5\n{row}\n")
+    with pytest.raises(MergeConflictError, match=r"greene\.csv line 3: malformed row"):
+        merge_results([run])
+    assert main(["scan", "--merge", str(run), "--out-dir", str(tmp_path / "merged")]) == 1
+    assert "greene.csv line 3" in capsys.readouterr().err
 
 
 def test_merge_requires_manifest(tmp_path):

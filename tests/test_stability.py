@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kamcrit as kc
-from kamcrit.errors import BracketingError, DomainError
+from kamcrit.errors import BracketingError, DomainError, RefinementError
 from kamcrit.stability import (
     ELLIPTIC,
     HYPERBOLIC,
@@ -48,7 +48,7 @@ def test_monodromy_requires_tight_closure():
     orb = _orbit(1, 2, 0.5)
     loose = kc.PeriodicOrbit(points=orb.points, convergent=orb.convergent, K=orb.K,
                              family=orb.family, line=orb.line, closure_error=1e-6)
-    with pytest.raises(DomainError):
+    with pytest.raises(RefinementError):
         kc.monodromy(loose)
 
 
