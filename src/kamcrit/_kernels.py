@@ -1,10 +1,13 @@
 """Hot inner loops of the standard map.
 
-Scalar kernels are plain python loops on python floats with ``math``
-bound locally; arrays are read with ``tolist()`` and built once, as numpy
-indexing per step costs more than the step.  The batched kernels vectorise
-over the batch with numpy and loop over the steps.  :func:`backend` names
-the build: always ``"numpy"``.
+Scalar kernels are plain python loops on python floats, with ``math``
+bound locally where a step needs it; arrays are read with ``tolist()`` and
+built once, as numpy indexing per step costs more than the step.  The
+monodromy product takes its cosines from numpy in one pass, which is
+bit-identical to ``math.cos`` per factor wherever numpy's float64 cos
+equals libm's.  The batched kernels vectorise over the batch with numpy
+and loop over the steps.  :func:`backend` names the build: always
+``"numpy"``.
 
 All kernels work on lifted (unwrapped) coordinates and never reduce to the
 torus; callers wrap for display only.
@@ -13,6 +16,7 @@ torus; callers wrap for display only.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -55,14 +59,12 @@ def monodromy_product(qs, k):
     rounding, so det_prod tracks symplecticity without the catastrophic
     cancellation the accumulated matrix suffers for strongly unstable orbits.
     """
-    cos = math.cos
     m11 = 1.0
     m12 = 0.0
     m21 = 0.0
     m22 = 1.0
     det = 1.0
-    for q in qs.tolist():
-        c = k * cos(q)
+    for c in (k * np.cos(qs)).tolist():
         a = 1.0 + c
         n11 = a * m11 + m21
         n12 = a * m12 + m22
@@ -90,28 +92,47 @@ def p_span(q, p, k, nsteps):
     return pmin, pmax
 
 
+_BLOCK = 256  # steps between two escape verdicts of max_p_deviation
+
+
 def max_p_deviation(q, p, k, nsteps, p_ref, cap):
     """Max |p - p_ref| along the trajectory, stopping early past ``cap``.
 
     Returns (deviation, steps_done, escaped).  ``cap <= 0`` disables the
     escape check.  Rounded subtraction is monotone, so |p - p_ref| peaks at
     an end of the range [lo, hi] of p: only a step that widens it (or the
-    first step) can change the deviation or the verdict.
+    first step) can change the deviation or the verdict.  The steps run in
+    blocks of ``_BLOCK`` with the verdict taken once per block; a block
+    whose range reaches the cap is replayed step by step from its start, so
+    the escape step is the same as with a verdict at every step.
     """
     sin = math.sin
     lo = hi = p
-    for i in range(nsteps):
-        p = p + k * sin(q)
-        q = q + p
-        if p > hi:
-            hi = p
-        elif p < lo:
-            lo = p
-        elif i:
-            continue
-        best = max(abs(hi - p_ref), abs(lo - p_ref))
-        if cap > 0.0 and best >= cap:
-            return best, i + 1, True
+    for start in range(0, nsteps, _BLOCK):
+        stop = min(start + _BLOCK, nsteps)
+        saved = q, p, lo, hi
+        for _ in repeat(None, stop - start):
+            p = p + k * sin(q)
+            q = q + p
+            if p > hi:
+                hi = p
+            elif p < lo:
+                lo = p
+        if cap > 0.0 and max(abs(hi - p_ref), abs(lo - p_ref)) >= cap:
+            # replay the block with the verdict at each step that can change it
+            q, p, lo, hi = saved
+            for i in range(start, stop):
+                p = p + k * sin(q)
+                q = q + p
+                if p > hi:
+                    hi = p
+                elif p < lo:
+                    lo = p
+                elif i:
+                    continue
+                best = max(abs(hi - p_ref), abs(lo - p_ref))
+                if best >= cap:
+                    return best, i + 1, True
     return max(abs(hi - p_ref), abs(lo - p_ref)), nsteps, False
 
 

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, _kernels
-from .criteria import chirikov_kcrit, chirikov_overlap, greene_kcrit, nch_kcrit
+from .criteria import check_k_grid, chirikov_kcrit, chirikov_overlap, greene_kcrit, nch_kcrit
 from .errors import ConfigError, KamcritError
 from .mapcore import TWO_PI, check_stochasticity, wrap_angle, wrap_momentum
 from .orbits import (
@@ -111,7 +111,7 @@ def cmd_kcrit_greene(args) -> int:
 
 
 def cmd_kcrit_nch(args) -> int:
-    grid = _parse_real_list(args.k_grid)
+    grid = check_k_grid(_parse_real_list(args.k_grid))  # before any numeric work
     greene_value = None
     if args.greene_depth:
         greene_value = greene_kcrit(depth=args.greene_depth).k_crit

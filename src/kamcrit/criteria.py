@@ -286,6 +286,17 @@ def nch_distance_curve(
     return DistanceCurve(n=c.n, samples=samples)
 
 
+def check_k_grid(k_grid: Sequence[float]) -> List[float]:
+    """The distance criterion's K grid as floats: at least 5 points, strictly
+    increasing (:class:`DomainError` otherwise)."""
+    grid = [float(k) for k in k_grid]
+    if len(grid) < 5:
+        raise DomainError("K grid needs at least 5 points")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError("K grid must be strictly increasing")
+    return grid
+
+
 def nch_kcrit(
     depth: int,
     k_grid: Sequence[float],
@@ -293,16 +304,13 @@ def nch_kcrit(
 ) -> CriterionResult:
     """Distance-minimum criterion over the Fibonacci orders up to ``depth``.
 
-    For each order the distance curve over ``k_grid`` must attain an
+    ``k_grid`` must pass :func:`check_k_grid`.  For each order the distance
+    curve over it must attain an
     interior minimum (parabolic-interpolated); orders whose minimum sits on
     the grid boundary are flagged and excluded.  The per-order minimizers
     are extrapolated like the Greene thresholds.
     """
-    grid = [float(k) for k in k_grid]
-    if len(grid) < 5:
-        raise DomainError("K grid needs at least 5 points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("K grid must be strictly increasing")
+    grid = check_k_grid(k_grid)
     per_n: List[Tuple[int, float]] = []
     flagged = []
     failures = []

@@ -149,6 +149,7 @@ class PeriodicOrbit:
     family: str
     line: str
     closure_error: float
+    _tangent = None  # dx/dK on the symmetric half, set by the first continuation step from here
 
     @property
     def m(self) -> int:
@@ -224,7 +225,8 @@ def _step_defect(points: np.ndarray, m: int, k: float) -> float:
     p1 = p + k * np.sin(q)
     nxt = np.empty(points.shape)
     nxt[:-1], nxt[-1] = points[1:], (q[0] + TWO_PI * m, p[0])
-    return float(max(np.abs(nxt[:, 0] - (q + p1)).max(), np.abs(nxt[:, 1] - p1).max()))
+    return float(max(np.maximum.reduce(np.abs(nxt[:, 0] - (q + p1))),
+                     np.maximum.reduce(np.abs(nxt[:, 1] - p1))))
 
 
 def _el_residual(b: np.ndarray, x: np.ndarray, k: float) -> np.ndarray:
@@ -234,15 +236,17 @@ def _el_residual(b: np.ndarray, x: np.ndarray, k: float) -> np.ndarray:
 
 def _thomas(diag: List[float], rhs: List[float]) -> List[float]:
     """Solve a tridiagonal system with unit off-diagonals (Thomas algorithm,
-    no pivoting: an exactly zero pivot raises ZeroDivisionError)."""
-    n = len(diag)
-    cp = [1.0 / diag[0]] + [0.0] * (n - 1)
-    x = [rhs[0] * cp[0]] + [0.0] * (n - 1)
-    for i in range(1, n):
-        cp[i] = 1.0 / (diag[i] - cp[i - 1])
-        x[i] = (rhs[i] - x[i - 1]) * cp[i]
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
+    no pivoting: an exactly zero pivot raises ZeroDivisionError).  The
+    forward sweep starts from pivot 0, so row 0 is 1/(d_0 - 0) = 1/d_0."""
+    cp, x = [], []
+    c = y = 0.0
+    for d, r in zip(diag, rhs):
+        c = 1.0 / (d - c)
+        y = (r - y) * c
+        cp.append(c)
+        x.append(y)
+    for i in range(len(x) - 2, -1, -1):
+        y = x[i] = x[i] - cp[i] * y
     return x
 
 
@@ -267,15 +271,22 @@ def _cyclic_thomas(diag: List[float], rhs: List[float]) -> List[float]:
 
 def _sup(v: np.ndarray) -> float:
     """Max norm, 0 for an empty vector."""
-    return float(np.abs(v).max()) if v.size else 0.0
+    return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
 
 
-def _newton(x: np.ndarray, assemble, solve, tol: float, max_iter: int, what: str,
+def _jacobian_diagonal(x: np.ndarray, k: float, fold) -> np.ndarray:
+    """Diagonal -2 - K cos x (+ the mirror terms ``fold``) of the Euler-Lagrange Jacobian."""
+    return -2.0 - k * np.cos(x) + fold
+
+
+def _newton(x: np.ndarray, residual, diagonal, qmax, solve, tol: float, max_iter: int, what,
             reach: float = math.inf) -> np.ndarray:
     """Newton on the Euler-Lagrange residual of the unknowns ``x``; returns them converged.
 
-    ``assemble(x)`` gives (residual on the unknowns, Jacobian diagonal, max|q|
-    over all n angles of the orbit they define).  Converged means
+    ``residual(x)`` is the residual on the unknowns, ``diagonal(x)`` the
+    Jacobian diagonal and ``qmax(x)`` max|q| over all n angles of the orbit
+    they define; the last two are evaluated only where they are needed, and
+    ``what()`` names the orbit in an error.  Converged means
     max|E| <= max(tol, 16*eps*max|q|): deep orders lift q to ~1e4, where one
     ulp of q already exceeds 1e-12.  Raises :class:`RefinementError` on a
     singular Jacobian, after ``max_iter`` iterations, and at the first
@@ -286,18 +297,18 @@ def _newton(x: np.ndarray, assemble, solve, tol: float, max_iter: int, what: str
     """
     start, history = x, []
     for _ in range(max_iter):
-        e, diag, qmax = assemble(x)
+        e = residual(x)
         err = _sup(e)
         history.append(err)
-        if err <= max(tol, 16.0 * _EPS * qmax):
+        if err <= tol or err <= 16.0 * _EPS * qmax(x):
             return x
         if len(history) > 1 and err >= history[-2] and _sup(x - start) > reach:
-            raise RefinementError(f"Euler-Lagrange Newton diverging for {what}", history=history)
+            raise RefinementError(f"Euler-Lagrange Newton diverging for {what()}", history=history)
         try:
-            x = x - np.array(solve(diag.tolist(), e.tolist()))
+            x = x - np.array(solve(diagonal(x).tolist(), e.tolist()))
         except ZeroDivisionError as exc:
-            raise RefinementError(f"singular Euler-Lagrange Jacobian for {what}", history=history) from exc
-    raise RefinementError(f"Euler-Lagrange Newton did not converge for {what}", history=history)
+            raise RefinementError(f"singular Euler-Lagrange Jacobian for {what()}", history=history) from exc
+    raise RefinementError(f"Euler-Lagrange Newton did not converge for {what()}", history=history)
 
 
 def _orbit_from_angles(q: np.ndarray, like: PeriodicOrbit, k: float) -> PeriodicOrbit:
@@ -306,7 +317,8 @@ def _orbit_from_angles(q: np.ndarray, like: PeriodicOrbit, k: float) -> Periodic
     points[:, 0] = q
     points[0, 1] = q[0] - (q[-1] - TWO_PI * like.m)
     points[1:, 1] = q[1:] - q[:-1]
-    return replace(like, points=points, K=k, closure_error=_step_defect(points, like.m, k))
+    return PeriodicOrbit(points, like.convergent, k, like.family, like.line,
+                         _step_defect(points, like.m, k))
 
 
 def refine_multishoot(orbit: PeriodicOrbit, tol: float = 1e-12, max_iter: int = 40) -> PeriodicOrbit:
@@ -326,12 +338,13 @@ def refine_multishoot(orbit: PeriodicOrbit, tol: float = 1e-12, max_iter: int = 
     if err <= tol:
         return replace(orbit, closure_error=err)
 
-    def assemble(q):
+    def residual(q):
         b = np.concatenate(([q[-1] - TWO_PI * m], q, [q[0] + TWO_PI * m]))
-        return _el_residual(b, q, k), -2.0 - k * np.cos(q), float(np.abs(q).max())
+        return _el_residual(b, q, k)
 
     q0 = np.array(orbit.points[:, 0], dtype=float)
-    q = _newton(q0, assemble, _cyclic_thomas, tol, max_iter, f"{orbit.convergent} at K={k:g}")
+    q = _newton(q0, residual, lambda q: -2.0 - k * np.cos(q), lambda q: float(np.abs(q).max()),
+                _cyclic_thomas, tol, max_iter, lambda: f"{orbit.convergent} at K={k:g}")
     return _orbit_from_angles(q, orbit, k)
 
 
@@ -377,17 +390,20 @@ def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_ite
     qfix = max(abs(c) if first else 0.0, abs(pin) if pinned else 0.0)
     b = np.empty(h + 2)
 
-    def assemble(x):
+    def residual(x):
         b[0] = c if first else (a - x[0]) - TWO_PI * m
         b[1:-1] = x
         b[-1] = pin if pinned else a - x[-1]
-        lo, hi = x.min(), x.max()
-        qmax = max(qfix, abs(lo), abs(hi), abs(a - lo), abs(a - hi))
-        return _el_residual(b, x, k), -2.0 - k * np.cos(x) + fold, qmax
+        return _el_residual(b, x, k)
+
+    def qmax(x):
+        lo, hi = np.minimum.reduce(x), np.maximum.reduce(x)
+        return max(qfix, abs(lo), abs(hi), abs(a - lo), abs(a - hi))
 
     x = np.array(guess.points[first:first + h, 0], dtype=float) if x0 is None else x0
     if h:  # otherwise (n = 1, or n = 2 on q=0 or q=pi) the line fixes the orbit
-        x = _newton(x, assemble, _thomas, tol, max_iter, f"{guess.convergent} on {line} at K={k:g}", reach)
+        x = _newton(x, residual, lambda x: _jacobian_diagonal(x, k, fold), qmax, _thomas, tol, max_iter,
+                    lambda: f"{guess.convergent} on {line} at K={k:g}", reach)
     q = np.concatenate(([c] * first, x, [pin] * pinned, (a - x)[::-1]))
     return _orbit_from_angles(q, guess, k)
 
@@ -397,7 +413,9 @@ def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]
 
     On a symmetry line Newton starts from the tangent predictor
     x_pred = x + (k - K) t on the symmetric half, where J t = sin x is one
-    Thomas pass with the Jacobian J at ``prev.K``.  The corrected x_new is
+    Thomas pass with the Jacobian J at ``prev.K``; t depends on ``prev``
+    alone, so it is solved once per orbit and kept on it for a retried step
+    or a second probe from the same orbit.  The corrected x_new is
     kept only when |x_new - x_pred| <= _GUARD_RATIO |x_pred - x| in max
     norm: a corrector that moves further than the predictor has left the
     branch (Allgower & Georg, Numerical Continuation Methods).  Newton
@@ -408,7 +426,10 @@ def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]
     try:
         _, first, h, _, fold = layout = _half_layout(prev)
         x = prev.points[first:first + h, 0]  # empty (h = 0) for n = 2 on q=0 or q=pi
-        t = np.array(_thomas((-2.0 - prev.K * np.cos(x) + fold).tolist(), np.sin(x).tolist())) if h else x
+        t = prev._tangent
+        if t is None:
+            t = prev._tangent = np.array(_thomas(_jacobian_diagonal(x, prev.K, fold).tolist(),
+                                                 np.sin(x).tolist())) if h else x
         x_pred = x + (k - prev.K) * t
         reach = _GUARD_RATIO * _sup(x_pred - x)
         nxt = _solve_symmetric(prev, k, x0=x_pred, layout=layout, reach=reach)

@@ -48,7 +48,8 @@ class Monodromy:
 
     @property
     def trace(self) -> float:
-        return float(self.matrix[0, 0] + self.matrix[1, 1])
+        # a sum of python floats: an overflowed product gives nan without a numpy warning
+        return float(self.matrix[0, 0]) + float(self.matrix[1, 1])
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,10 @@ def classify(m, n: Optional[int] = None) -> StabilityReport:
     elliptic for |tr| < 2 (0 < R < 1), hyperbolic for tr > 2 (R < 0),
     inverse-hyperbolic for tr < -2 (R > 1), parabolic for |tr| = 2 within
     1e-10.  The Lyapunov exponent is ln(spectral radius)/n, exactly zero in
-    the elliptic and parabolic cases.
+    the elliptic and parabolic cases; where tr*tr overflows the spectral
+    radius is |tr|, to which (|tr| + sqrt(tr^2 - 4))/2 rounds from
+    |tr| > 1e154 on.  A trace that is not finite (an overflowed monodromy)
+    has no class and raises :class:`RefinementError`.
     """
     if isinstance(m, Monodromy):
         tr = m.trace
@@ -106,6 +110,8 @@ def classify(m, n: Optional[int] = None) -> StabilityReport:
         tr = float(np.trace(np.asarray(m)))
         if n is None:
             n = 1
+    if not math.isfinite(tr):
+        raise RefinementError(f"monodromy trace {tr} is not finite (the tangent product overflowed)")
     r = (2.0 - tr) / 4.0
     if abs(abs(tr) - 2.0) <= _PARABOLIC_TOL:
         cls, lam = PARABOLIC, 0.0
@@ -113,7 +119,8 @@ def classify(m, n: Optional[int] = None) -> StabilityReport:
         cls, lam = ELLIPTIC, 0.0
     else:
         cls = HYPERBOLIC if tr > 2.0 else INVERSE_HYPERBOLIC
-        rad = 0.5 * (abs(tr) + math.sqrt(tr * tr - 4.0))
+        square = tr * tr
+        rad = 0.5 * (abs(tr) + math.sqrt(square - 4.0)) if math.isfinite(square) else abs(tr)
         lam = math.log(rad) / n
     return StabilityReport(trace=tr, residue=r, classification=cls, lyapunov=lam)
 

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -209,6 +211,43 @@ def test_kcrit_nch_failure_leaves_no_partial_file(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid,message", [("1,2", "K grid needs at least 5 points"),
+                                          ("", "K grid needs at least 5 points"),
+                                          ("0.9,0.8,1.0,1.1,1.2", "K grid must be strictly increasing")])
+def test_kcrit_nch_checks_its_grid_before_greene(grid, message, monkeypatch, capsys):
+    def no_greene(**kw):
+        raise AssertionError("greene_kcrit ran before the grid was checked")
+
+    monkeypatch.setattr(kamcrit.cli, "greene_kcrit", no_greene)
+    assert main(["kcrit-nch", "--depth", "1", "--k-grid", grid, "--greene-depth", "20"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["residue", "--m", "610", "--n", "987", "--K", "3"],
+                                  ["residue", "--m", "377", "--n", "610", "--K", "3"],
+                                  ["orbit", "--m", "1597", "--n", "2584", "--K", "2",
+                                   "--family", "alternate"]],
+                         ids=["nan-987", "inf-610", "orbit-2584"])
+def test_overflowed_monodromy_is_a_numeric_failure(argv, capsys):
+    # the tangent product overflows to a trace of nan or -inf, which has no class
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: monodromy trace ")
+    assert "not finite" in lines[0]
+
+
+def test_finite_trace_whose_square_overflows_has_a_finite_lyapunov(capsys):
+    assert main(["residue", "--m", "233", "--n", "377", "--K", "5"]) == 0
+    fields = _kv(_last_line(capsys))
+    assert fields["classification"] == "inverse-hyperbolic"
+    assert float(fields["trace"]) < -1e281 and math.isfinite(float(fields["residue"]))
+    assert float(fields["lyapunov"]) == pytest.approx(1.7224, abs=1e-4)
 
 
 def test_kcrit_nch_mechanism(tmp_path, capsys):
@@ -441,6 +480,22 @@ def test_import_and_version_load_no_scipy(argv):
     loaded = _cold_imports(argv)
     assert "kamcrit" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+@pytest.mark.parametrize("argv", [["-c", "import kamcrit"], ["-m", "kamcrit.cli", "--version"]],
+                         ids=["import", "cli-version"])
+def test_cold_import_adds_only_stdlib_numpy_and_kamcrit(argv):
+    # a cold import must not grow a dependency: beyond what a bare interpreter
+    # (site included) loads, only the standard library, numpy and kamcrit
+    baseline = set(_cold_imports(["-c", "pass"]))
+    added = {m for m in _cold_imports(argv) if m not in baseline}
+    assert "kamcrit" in added and "numpy" in added
+    # -X importtime also lists failed probes (pickle looks for Jython's
+    # org.python.core); a name no finder locates was never loaded
+    loaded = {m for m in added if importlib.util.find_spec(m.split(".")[0]) is not None}
+    foreign = sorted(m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names
+                     and m.split(".")[0] not in ("numpy", "kamcrit"))
+    assert foreign == []
 
 
 @pytest.mark.parametrize("argv", [["-c", "import kamcrit"], ["-m", "kamcrit.cli", "--version"],

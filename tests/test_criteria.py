@@ -362,3 +362,33 @@ def test_greene_matches_benchmark_reference():
         assert abs(k_star - ref["greene"]["per_n"][str(n)]) <= 2e-6, n
     want = ref["greene"]["k_crit"]["11"]
     assert abs(res.k_crit - want) <= 2e-5 * abs(want)
+
+
+# K*(n) and K_crit of greene_kcrit(depth=13), recorded as float.hex before the
+# continuation step's one-pass Thomas solve, its cached tangent and the monodromy's
+# numpy cosines; those speed-ups keep every bit
+_GREENE13_PER_N = [
+    (2, "0x1.0000000000000p+1"), (3, "0x1.847e093f0156fp+0"), (5, "0x1.491c0d6010b62p+0"),
+    (8, "0x1.25fde911adf74p+0"), (13, "0x1.1438fe994327dp+0"), (21, "0x1.09050329cea71p+0"),
+    (34, "0x1.02b66632282e6p+0"), (55, "0x1.fd8f21a74eacfp-1"), (89, "0x1.f8e48266f3252p-1"),
+    (144, "0x1.f6020b241a2fbp-1"), (233, "0x1.f4427163647d1p-1"), (377, "0x1.f32ed2e72af88p-1"),
+    (610, "0x1.f2865e4053e73p-1"),
+]
+_GREENE13_K_CRIT = "0x1.f17d90658decep-1"
+
+
+def test_greene_depth13_bits_are_pinned():
+    res = kc.greene_kcrit(depth=13)
+    assert [(n, k.hex()) for n, k in res.per_n] == _GREENE13_PER_N
+    assert res.k_crit.hex() == _GREENE13_K_CRIT
+
+
+def test_k_grid_rule():
+    assert kc.criteria.check_k_grid([0.8, 0.9, 1, 1.1, 1.2]) == [0.8, 0.9, 1.0, 1.1, 1.2]
+    for grid, message in [([], "at least 5 points"), ([0.8, 0.9], "at least 5 points"),
+                          ([0.8, 0.9, 0.9, 1.0, 1.1], "strictly increasing"),
+                          ([0.8, 1.0, 0.9, 1.1, 1.2], "strictly increasing")]:
+        with pytest.raises(DomainError, match=message):
+            kc.criteria.check_k_grid(grid)
+        with pytest.raises(DomainError, match=message):
+            kc.nch_kcrit(1, grid)

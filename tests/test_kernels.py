@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+import kamcrit as kc
 from kamcrit import _kernels
 
 
@@ -42,6 +43,32 @@ def test_monodromy_product_shear():
     m11, m12, m21, m22, det = _kernels.monodromy_product(qs, 0.0)
     assert (m11, m12, m21, m22) == (1.0, 5.0, 0.0, 1.0)
     assert det == 1.0
+
+
+def _monodromy_product_math_cos(qs, k):
+    """The product as it was written with ``math.cos`` per factor."""
+    m11, m12, m21, m22, det = 1.0, 0.0, 0.0, 1.0, 1.0
+    for q in qs.tolist():
+        c = k * math.cos(q)
+        a = 1.0 + c
+        m11, m12, m21, m22 = a * m11 + m21, a * m12 + m22, c * m11 + m21, c * m12 + m22
+        det *= a - c
+    return m11, m12, m21, m22, det
+
+
+def test_monodromy_product_numpy_cosines_are_bit_identical():
+    # bit identity holds where numpy's float64 cos equals libm's cos
+    checked = 0
+    for c in kc.fibonacci_convergents(16):  # n = 2 ... 1597
+        for family in (kc.FAMILY_RATIONAL, kc.FAMILY_ALTERNATE):
+            branch = kc.OrbitBranch(c, family)
+            for k in (0.3, 0.97, 1.5):
+                qs = branch.orbit_at(k).points[:, 0]
+                got, want = _kernels.monodromy_product(qs, k), _monodromy_product_math_cos(qs, k)
+                # compared as bytes: at n = 1597, K = 1.5 the product overflows to nan
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (c, family, k)
+                checked += 1
+    assert checked == 16 * 2 * 3
 
 
 def test_p_span_integrable():

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import sys
 import time
 from dataclasses import replace
 
@@ -427,6 +428,72 @@ def test_refinement_of_fixed_points_and_free_orbits_is_bit_identical():
                         line=kc.orbits.LINE_NONE)
         got = _outcome(refine_multishoot, rough)
         assert got is not None and got == _outcome(_ref_multishoot, rough)
+
+
+def _thomas_two_pass(diag, rhs):
+    """The Thomas solve as it was written before the one-pass sweep."""
+    n = len(diag)
+    cp = [1.0 / diag[0]] + [0.0] * (n - 1)
+    x = [rhs[0] * cp[0]] + [0.0] * (n - 1)
+    for i in range(1, n):
+        cp[i] = 1.0 / (diag[i] - cp[i - 1])
+        x[i] = (rhs[i] - x[i - 1]) * cp[i]
+    for i in range(n - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return x
+
+
+def _solve_or_zero_pivot(solve, diag, rhs):
+    try:
+        return solve(diag, rhs)
+    except ZeroDivisionError:
+        return "zero pivot"
+
+
+def test_one_pass_thomas_is_bit_identical_to_two_pass():
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (1, 2, 3, 6, 50, 305, 1000):
+        for scale in (1.0, 1e-8):
+            diag = (-2.0 - scale * rng.uniform(-1.0, 1.0, n)).tolist()
+            cases.append((diag, rng.standard_normal(n).tolist()))
+    # exact zero pivots: on the first row, and on a later row (2 - 1/2 - 3/2 = 0)
+    cases += [([0.0, -2.0, -2.0], [1.0, 2.0, 3.0]), ([-0.0], [1.0]),
+              ([2.0, 0.5, -3.0], [1.0, -1.0, 0.5]), ([-2.0, -0.5, -2.0], [0.0, -0.0, 1.0])]
+    outcomes = []
+    for diag, rhs in cases:
+        got = _solve_or_zero_pivot(kc.orbits._thomas, diag, rhs)
+        assert got == _solve_or_zero_pivot(_thomas_two_pass, diag, rhs), (len(diag), diag[:3])
+        outcomes.append(got)
+    assert outcomes.count("zero pivot") == 4
+
+
+def test_tangent_is_solved_once_per_orbit(monkeypatch):
+    tangents = []
+    real = kc.orbits._thomas
+
+    def counting(diag, rhs):
+        # Newton solves come from _newton; the tangent predictor solves in the step itself
+        if sys._getframe(1).f_code.co_name == "_continuation_step":
+            tangents.append(len(diag))
+        return real(diag, rhs)
+
+    start = kc.OrbitBranch(kc.Convergent(233, 377)).orbit_at(0.875)
+    monkeypatch.setattr(kc.orbits, "_thomas", counting)
+    assert kc.orbits._continuation_step(start, 1.0) is None  # refused by the guard
+    retried = kc.orbits._continuation_step(start, 0.9375)  # the halved retry
+    assert retried is not None and kc.orbits._continuation_step(start, 0.9) is not None  # a second probe
+    assert tangents == [188]
+    # a copy made with replace carries no tangent: it solves its own, with equal bits
+    copy = replace(start)
+    again = kc.orbits._continuation_step(copy, 0.9375)
+    assert tangents == [188, 188]
+    assert copy._tangent.tobytes() == start._tangent.tobytes()
+    assert again.points.tobytes() == retried.points.tobytes()
+    assert again.closure_error == retried.closure_error
+    # an orbit that steps on solves its own tangent at its own K
+    kc.orbits._continuation_step(retried, 0.95)
+    assert tangents == [188, 188, 188]
 
 
 # --- families -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kamcrit.stability import (
     HYPERBOLIC,
     INVERSE_HYPERBOLIC,
     PARABOLIC,
+    Monodromy,
     find_destabilization,
 )
 
@@ -110,6 +112,36 @@ def test_classify_hyperbolic_partner():
     assert rep.classification == HYPERBOLIC
     assert rep.residue < 0
     assert rep.lyapunov > 0
+
+
+def _mono(m11, m22, n):
+    return Monodromy(matrix=np.array([[m11, 0.0], [0.0, m22]]), n=n, det_drift=0.0)
+
+
+@pytest.mark.parametrize("m11,m22", [(math.nan, 1.0), (math.inf, -math.inf), (-math.inf, 0.5),
+                                     (math.inf, 1.0)])
+def test_classify_refuses_a_trace_that_is_not_finite(m11, m22):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the trace of an overflowed product warns of nothing
+        with pytest.raises(RefinementError, match="not finite"):
+            kc.classify(_mono(m11, m22, 377))
+    with np.errstate(invalid="ignore"), pytest.raises(RefinementError):  # np.trace of a raw matrix
+        kc.classify(np.array([[m11, 0.0], [0.0, m22]]))
+
+
+def test_classify_spectral_radius_where_the_trace_squared_overflows():
+    # tr*tr overflows from |tr| of about 1.3e154 on, where sqrt(tr^2 - 4) rounds to |tr|
+    rep = kc.classify(_mono(-1.0077769866e282, 0.0, 377))
+    assert rep.classification == INVERSE_HYPERBOLIC
+    assert rep.lyapunov == math.log(1.0077769866e282) / 377
+    assert rep.lyapunov == pytest.approx(1.7224, abs=1e-4)
+    rep = kc.classify(_mono(3e200, 0.0, 10))
+    assert rep.classification == HYPERBOLIC and rep.lyapunov == math.log(3e200) / 10
+    # up to the overflow the closed form is taken as before, and agrees with |tr|
+    for tr in (-2.5, 1e5, -1e154):
+        rep = kc.classify(_mono(tr, 0.0, 3))
+        assert rep.lyapunov == math.log(0.5 * (abs(tr) + math.sqrt(tr * tr - 4.0))) / 3
+    assert kc.classify(_mono(-1e154, 0.0, 3)).lyapunov == math.log(1e154) / 3
 
 
 def test_report_record_fields():
