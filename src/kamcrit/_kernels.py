@@ -9,8 +9,9 @@ equals libm's.  The batched kernels vectorise over the batch with numpy
 and loop over the steps.  :func:`backend` names the build: always
 ``"numpy"``.
 
-All kernels work on lifted (unwrapped) coordinates and never reduce to the
-torus; callers wrap for display only.
+The map kernels work on lifted (unwrapped) coordinates and never reduce to
+the torus; callers wrap for display only.  The monodromy product depends on
+cos q alone, so it is handed an orbit's reduced angles.
 """
 
 from __future__ import annotations

@@ -9,6 +9,14 @@ with phase points (q_i, q_i - q_{i-1}).  The Jacobian of E is tridiagonal
 (diagonal -2 - K cos q_i, off-diagonals 1, cyclic corners), so one Newton
 step costs O(n) (MacKay & Meiss 1983, Phys. Lett. A 98, 92).
 
+The solver never touches the lift.  It carries the deviations
+u_i = q_i - 2 pi m i/n from the K = 0 circle, which are periodic
+(u_{i+n} = u_i) and O(1) at every order, and it evaluates sin and cos at the
+reduced angles u_i + 2 pi ((m i) mod n)/n, with the mod taken in integers.
+So E, the Jacobian, the step defect and the monodromy all round at ulp(pi)
+whatever n is, and one absolute tolerance serves every order.  The lifted
+points are built from the deviations for output only.
+
 Orbits sit on the reversor symmetry lines {q = 0} u {q = pi} and
 {q = p/2} u {q = p/2 + pi}.  A branch is carried across stochasticity values
 by natural-parameter continuation from the integrable K = 0 circle
@@ -16,7 +24,7 @@ p = 2 pi m/n, each step one Newton solve on the symmetric half of the orbit:
 the mirror image of the unknowns fixes the other half and pins the point on
 the line, which removes the near-null translation mode of the cyclic
 Jacobian (its determinant is -4R, tiny for deep orders).  The residual is
-evaluated on the unknowns alone and the n angles are built once, at
+evaluated on the unknowns alone and the n deviations are built once, at
 convergence.  Newton starts from the tangent predictor x + dK dx/dK, and a
 guard refuses (and halves) any step whose corrector moves further than its
 predictor did, so a large step cannot carry the branch onto a neighbouring
@@ -38,6 +46,7 @@ tests at every Fibonacci order up to 610.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
@@ -73,19 +82,7 @@ _EPS = float(np.finfo(float).eps)
 _BRENTQ_RTOL = 4.0 * _EPS
 _DK_MAX = 0.25  # largest continuation step in K
 _GUARD_RATIO = 1.0  # largest accepted corrector move over predictor move
-
-
-def line_seed(line: str, p: float) -> Tuple[float, float]:
-    """Lifted (q, p) point of the symmetry line at parameter p."""
-    if line == LINE_Q0:
-        return 0.0, p
-    if line == LINE_QPI:
-        return math.pi, p
-    if line == LINE_DIAG:
-        return 0.5 * p, p
-    if line == LINE_DIAG_PI:
-        return 0.5 * p + math.pi, p
-    raise DomainError(f"unknown symmetry line {line!r}")
+_LINE_OFFSET = {LINE_Q0: 0.0, LINE_QPI: math.pi, LINE_DIAG: 0.0, LINE_DIAG_PI: math.pi}  # c of q=c, q=p/2+c
 
 
 @dataclass(frozen=True)
@@ -133,23 +130,34 @@ def fibonacci_convergents(depth: int) -> List[Convergent]:
 class PeriodicOrbit:
     """An n-point periodic invariant set with winding m/n at stochasticity K.
 
-    ``points`` holds the n consecutive lifted images, row 0 being the
-    symmetry-line representative.  ``closure_error`` is the measured defect
-    chain in max norm: every step defect T(x_i) - x_{i+1} plus the wrapping
-    defect T(x_{n-1}) - x_0 - (2*pi*m, 0).  For points that are literal
-    iterates of row 0 this is the lifted closure |T^n(x_0) - x_0 - (2*pi*m, 0)|;
-    for orbits solved as angle sequences it stays at the rounding level of
-    the lift even where the n-fold composition amplifies double-precision
-    noise far past it.
+    The orbit is held in the frame of the K = 0 circle: row i of
+    ``deviations`` is (u_i, v_i) = (q_i - 2*pi*m*i/n, p_i - 2*pi*m/n), and
+    row n would be row 0 again.  :attr:`angles` are the reduced angles
+    u_i + 2*pi*((m*i) mod n)/n that sin and cos are taken at.  ``points``
+    are the n consecutive lifted images (q_i, p_i), row 0 being the
+    symmetry-line representative; they are built from the deviations on
+    first use, for output.  ``closure_error`` is the measured defect chain
+    in max norm: every step defect T(x_i) - x_{i+1}, where x_n is x_0 plus
+    (2*pi*m, 0).  It is taken in the frame, so it stays at the rounding
+    level of O(1) numbers at any n, even where the n-fold composition
+    amplifies double-precision noise far past it.
     """
 
-    points: np.ndarray
+    deviations: np.ndarray
     convergent: Convergent
     K: float
     family: str
     line: str
     closure_error: float
     _tangent = None  # dx/dK on the symmetric half, set by the first continuation step from here
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        return self.deviations + _circle(self.m, self.n)
+
+    @property
+    def angles(self) -> np.ndarray:
+        return self.deviations[:, 0] + _phase(self.m, self.n)
 
     @property
     def m(self) -> int:
@@ -192,8 +200,25 @@ class PeriodicOrbit:
 
 
 # --------------------------------------------------------------------------
-# closure helpers
+# the frame of the K = 0 circle
 # --------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def _phase(m: int, n: int) -> np.ndarray:
+    """2*pi*((m*i) mod n)/n for i < n: the circle's angles reduced by whole
+    turns, the mod taken in integers (read-only, shared by every orbit of m/n)."""
+    phase = TWO_PI * (np.arange(n, dtype=np.int64) * m % n) / n
+    phase.flags.writeable = False
+    return phase
+
+
+@functools.lru_cache(maxsize=16)
+def _circle(m: int, n: int) -> np.ndarray:
+    """Rows (2*pi*m*i/n, 2*pi*m/n), i < n: the lifted K = 0 circle (read-only)."""
+    circle = np.column_stack((TWO_PI * m * np.arange(n) / n, np.full(n, TWO_PI * m / n)))
+    circle.flags.writeable = False
+    return circle
+
 
 def closure_residual(q0: float, p0: float, m: int, n: int, k: float) -> Tuple[float, float]:
     """(q, p) components of T^n(x0) - x0 - (2*pi*m, 0) on the lift."""
@@ -201,37 +226,25 @@ def closure_residual(q0: float, p0: float, m: int, n: int, k: float) -> Tuple[fl
     return qn - q0 - TWO_PI * m, pn - p0
 
 
-def _orbit_from_seed(q0: float, p0: float, c: Convergent, k: float, family: str, line: str) -> PeriodicOrbit:
-    traj = _kernels.trajectory(q0, p0, k, c.n)
-    rq = traj[-1, 0] - q0 - TWO_PI * c.m
-    rp = traj[-1, 1] - p0
-    return PeriodicOrbit(
-        points=np.array(traj[:-1]),
-        convergent=c,
-        K=k,
-        family=family,
-        line=line,
-        closure_error=max(abs(rq), abs(rp)),
-    )
-
-
 # --------------------------------------------------------------------------
 # Euler-Lagrange Newton
 # --------------------------------------------------------------------------
 
-def _step_defect(points: np.ndarray, m: int, k: float) -> float:
-    """Max-norm defect of T(x_i) - x_{i+1}, the last step wrapping to x_0 + (2*pi*m, 0)."""
-    q, p = points[:, 0], points[:, 1]
-    p1 = p + k * np.sin(q)
-    nxt = np.empty(points.shape)
-    nxt[:-1], nxt[-1] = points[1:], (q[0] + TWO_PI * m, p[0])
-    return float(max(np.maximum.reduce(np.abs(nxt[:, 0] - (q + p1))),
-                     np.maximum.reduce(np.abs(nxt[:, 1] - p1))))
+def _step_defect(d: np.ndarray, phase: np.ndarray, k: float) -> float:
+    """Max-norm defect of T(x_i) - x_{i+1} in the frame, x_n = x_0.
+
+    Rows of ``d`` are (u_i, v_i); one map step takes them to
+    (u_i + v_i', v_i') with v_i' = v_i + K sin(u_i + phase_i)."""
+    u, v = d[:, 0], d[:, 1]
+    v1 = v + k * np.sin(u + phase)
+    nxt = np.concatenate((d[1:], d[:1]))
+    return float(max(np.maximum.reduce(np.abs(nxt[:, 0] - (u + v1))),
+                     np.maximum.reduce(np.abs(nxt[:, 1] - v1))))
 
 
-def _el_residual(b: np.ndarray, x: np.ndarray, k: float) -> np.ndarray:
-    """E_i = q_{i+1} - 2 q_i + q_{i-1} - K sin q_i on x = b[1:-1], between b[0] and b[-1]."""
-    return b[2:] - 2.0 * x + b[:-2] - k * np.sin(x)
+def _el_residual(b: np.ndarray, x: np.ndarray, k: float, phase: np.ndarray) -> np.ndarray:
+    """E_i = u_{i+1} - 2 u_i + u_{i-1} - K sin(u_i + phase_i) on x = b[1:-1], between b[0] and b[-1]."""
+    return b[2:] - 2.0 * x + b[:-2] - k * np.sin(x + phase)
 
 
 def _thomas(diag: List[float], rhs: List[float]) -> List[float]:
@@ -274,33 +287,31 @@ def _sup(v: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
 
 
-def _jacobian_diagonal(x: np.ndarray, k: float, fold) -> np.ndarray:
-    """Diagonal -2 - K cos x (+ the mirror terms ``fold``) of the Euler-Lagrange Jacobian."""
-    return -2.0 - k * np.cos(x) + fold
+def _jacobian_diagonal(x: np.ndarray, phase: np.ndarray, k: float, fold) -> np.ndarray:
+    """Diagonal -2 - K cos(x + phase) (+ the mirror terms ``fold``) of the Euler-Lagrange Jacobian."""
+    return -2.0 - k * np.cos(x + phase) + fold
 
 
-def _newton(x: np.ndarray, residual, diagonal, qmax, solve, tol: float, max_iter: int, what,
+def _newton(x: np.ndarray, residual, diagonal, solve, tol: float, max_iter: int, what,
             reach: float = math.inf) -> np.ndarray:
-    """Newton on the Euler-Lagrange residual of the unknowns ``x``; returns them converged.
+    """Newton on the Euler-Lagrange residual of the deviations ``x``; returns them converged.
 
-    ``residual(x)`` is the residual on the unknowns, ``diagonal(x)`` the
-    Jacobian diagonal and ``qmax(x)`` max|q| over all n angles of the orbit
-    they define; the last two are evaluated only where they are needed, and
-    ``what()`` names the orbit in an error.  Converged means
-    max|E| <= max(tol, 16*eps*max|q|): deep orders lift q to ~1e4, where one
-    ulp of q already exceeds 1e-12.  Raises :class:`RefinementError` on a
-    singular Jacobian, after ``max_iter`` iterations, and at the first
-    iterate whose residual is not below the previous one while it lies
-    further than ``reach`` from the start in max norm.  A continuation step
-    passes its guard's reach, so a corrector leaving the branch is refused
-    at once instead of at the iteration cap.
+    ``residual(x)`` is the residual on the unknowns and ``diagonal(x)`` the
+    Jacobian diagonal, evaluated only before a solve; ``what()`` names the
+    orbit in an error.  Converged means max|E| <= ``tol``: the unknowns are
+    O(1) at every order, so one absolute tolerance serves them all.  Raises
+    :class:`RefinementError` on a singular Jacobian, after ``max_iter``
+    iterations, and at the first iterate whose residual is not below the
+    previous one while it lies further than ``reach`` from the start in max
+    norm.  A continuation step passes its guard's reach, so a corrector
+    leaving the branch is refused at once instead of at the iteration cap.
     """
     start, history = x, []
     for _ in range(max_iter):
         e = residual(x)
         err = _sup(e)
         history.append(err)
-        if err <= tol or err <= 16.0 * _EPS * qmax(x):
+        if err <= tol:
             return x
         if len(history) > 1 and err >= history[-2] and _sup(x - start) > reach:
             raise RefinementError(f"Euler-Lagrange Newton diverging for {what()}", history=history)
@@ -311,21 +322,20 @@ def _newton(x: np.ndarray, residual, diagonal, qmax, solve, tol: float, max_iter
     raise RefinementError(f"Euler-Lagrange Newton did not converge for {what()}", history=history)
 
 
-def _orbit_from_angles(q: np.ndarray, like: PeriodicOrbit, k: float) -> PeriodicOrbit:
-    """Orbit with points (q_i, q_i - q_{i-1}) and its measured closure."""
-    points = np.empty((len(q), 2))
-    points[:, 0] = q
-    points[0, 1] = q[0] - (q[-1] - TWO_PI * like.m)
-    points[1:, 1] = q[1:] - q[:-1]
-    return PeriodicOrbit(points, like.convergent, k, like.family, like.line,
-                         _step_defect(points, like.m, k))
+def _orbit(u: np.ndarray, c: Convergent, k: float, family: str, line: str) -> PeriodicOrbit:
+    """Orbit of the deviations u_i, with v_i = u_i - u_{i-1} and its measured closure."""
+    d = np.empty((len(u), 2))
+    d[:, 0] = u
+    d[0, 1] = u[0] - u[-1]
+    d[1:, 1] = u[1:] - u[:-1]
+    return PeriodicOrbit(d, c, k, family, line, _step_defect(d, _phase(c.m, c.n), k))
 
 
 def refine_multishoot(orbit: PeriodicOrbit, tol: float = 1e-12, max_iter: int = 40) -> PeriodicOrbit:
     """Newton on the full periodic Euler-Lagrange system in the angles alone.
 
-    All n angles of ``orbit.points`` are unknowns and the momenta are rebuilt
-    as q_i - q_{i-1}.  Each step solves the cyclic tridiagonal Jacobian in
+    All n deviations u_i are unknowns and the momenta are rebuilt as
+    u_i - u_{i-1}.  Each step solves the cyclic tridiagonal Jacobian in
     O(n) (Thomas plus Sherman-Morrison).  The defects are local, so the
     accuracy stays at machine precision however strongly the n-fold
     composition expands; but with no symmetry imposed the Jacobian nears
@@ -333,35 +343,36 @@ def refine_multishoot(orbit: PeriodicOrbit, tol: float = 1e-12, max_iter: int = 
     on their half instead.  An orbit already within ``tol`` comes back with
     its measured defect as ``closure_error``.
     """
-    m, k = orbit.m, orbit.K
-    err = _step_defect(orbit.points, m, k)
+    k, phase = orbit.K, _phase(orbit.m, orbit.n)
+    err = _step_defect(orbit.deviations, phase, k)
     if err <= tol:
         return replace(orbit, closure_error=err)
 
-    def residual(q):
-        b = np.concatenate(([q[-1] - TWO_PI * m], q, [q[0] + TWO_PI * m]))
-        return _el_residual(b, q, k)
+    def residual(u):
+        return _el_residual(np.concatenate(([u[-1]], u, [u[0]])), u, k, phase)
 
-    q0 = np.array(orbit.points[:, 0], dtype=float)
-    q = _newton(q0, residual, lambda q: -2.0 - k * np.cos(q), lambda q: float(np.abs(q).max()),
+    u = _newton(np.array(orbit.deviations[:, 0]), residual, lambda u: _jacobian_diagonal(u, phase, k, 0.0),
                 _cyclic_thomas, tol, max_iter, lambda: f"{orbit.convergent} at K={k:g}")
-    return _orbit_from_angles(q, orbit, k)
+    return _orbit(u, orbit.convergent, k, orbit.family, orbit.line)
 
 
-def _half_layout(orbit: PeriodicOrbit) -> Tuple[float, int, int, bool, np.ndarray]:
-    """(c, first, h, pinned, fold) of the symmetric half of ``orbit`` on its line.
+def _half_layout(line: str, m: int, n: int) -> Tuple[float, int, int, bool, np.ndarray, np.ndarray]:
+    """(a, first, h, pinned, fold, phase) of the symmetric half of an (m, n) orbit on ``line``.
 
-    On q=c (c = 0 or pi), q_0 = c and q_{n-i} = 2c + 2*pi*m - q_i: the
-    unknowns are q_1 ... q_{(n-1)//2}; an even n pins q_{n/2} = c + pi*m, an
+    In the frame the reversor mirrors u_{n-i} = a - u_i on q=c (c = 0 or
+    pi, a = 2c) and u_{n-1-i} = a - u_i on q=p/2+c (a = 2c + 2*pi*m/n), and
+    the points it fixes have u = a/2.  On q=c the unknowns are
+    u_1 ... u_{(n-1)//2} next to u_0 = a/2; an even n pins u_{n/2} = a/2, an
     odd n mirrors the last unknown's right neighbour (diagonal -1).  On
-    q=p/2+c, q_{n-1-i} = 2c + 2*pi*m - q_i: the unknowns are
-    q_0 ... q_{n//2-1}, q_{-1} = 2c - q_0 mirrors into the first diagonal, an
-    odd n pins q_{(n-1)/2} = c + pi*m, and an even n mirrors the last one.
-    ``fold`` holds those mirror terms of the Jacobian diagonal.
+    q=p/2+c the unknowns are u_0 ... u_{n//2-1}, u_{-1} = a - u_0 mirrors
+    into the first diagonal, an odd n pins u_{(n-1)/2} = a/2, and an even n
+    mirrors the last one.  ``fold`` holds those mirror terms of the Jacobian
+    diagonal and ``phase`` the unknowns' reduced circle angles.
     """
-    line, n = orbit.line, orbit.n
-    c = line_seed(line, 0.0)[0]  # the line's q at p = 0; DomainError off the four lines
-    on_q = line in RATIONAL_LINES
+    if line not in _LINE_OFFSET:
+        raise DomainError(f"unknown symmetry line {line!r}")
+    c, on_q = _LINE_OFFSET[line], line in RATIONAL_LINES
+    a = 2.0 * c if on_q else 2.0 * c + TWO_PI * m / n
     first = 1 if on_q else 0
     h = (n - 1) // 2 if on_q else n // 2
     pinned = (n % 2 == 0) == on_q
@@ -370,42 +381,34 @@ def _half_layout(orbit: PeriodicOrbit) -> Tuple[float, int, int, bool, np.ndarra
         fold[0] -= 1.0
     if h and not pinned:
         fold[-1] -= 1.0
-    return c, first, h, pinned, fold
+    return a, first, h, pinned, fold, _phase(m, n)[first:first + h]
 
 
 def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_iter: int = 12,
                      x0: Optional[np.ndarray] = None, layout: Optional[tuple] = None,
                      reach: float = math.inf) -> PeriodicOrbit:
     """Newton on the symmetric half of ``guess``'s orbit at stochasticity ``k``,
-    started from the unknowns ``x0`` (by default ``guess``'s own angles);
+    started from the unknowns ``x0`` (by default ``guess``'s own deviations);
     ``layout`` is ``guess``'s :func:`_half_layout` when the caller has it,
     and ``reach`` is :func:`_newton`'s bound on a diverging iterate.
     The residual is taken on the h unknowns alone, between neighbours that
-    are c, the pin c + pi*m or a mirror a - x (a = 2c + 2*pi*m); the n
-    angles are built once, at convergence."""
-    line, m = guess.line, guess.m
-    c, first, h, pinned, fold = layout or _half_layout(guess)
-    a, pin = 2.0 * c + TWO_PI * m, c + math.pi * m
-    # max|q| of the angles the line fixes; max|a - x| is at min x or max x, as rounding is monotone
-    qfix = max(abs(c) if first else 0.0, abs(pin) if pinned else 0.0)
+    are the line's a/2 or a mirror a - x; the n deviations are built once,
+    at convergence."""
+    a, first, h, pinned, fold, phase = layout or _half_layout(guess.line, guess.m, guess.n)
     b = np.empty(h + 2)
 
     def residual(x):
-        b[0] = c if first else (a - x[0]) - TWO_PI * m
+        b[0] = 0.5 * a if first else a - x[0]
         b[1:-1] = x
-        b[-1] = pin if pinned else a - x[-1]
-        return _el_residual(b, x, k)
+        b[-1] = 0.5 * a if pinned else a - x[-1]
+        return _el_residual(b, x, k, phase)
 
-    def qmax(x):
-        lo, hi = np.minimum.reduce(x), np.maximum.reduce(x)
-        return max(qfix, abs(lo), abs(hi), abs(a - lo), abs(a - hi))
-
-    x = np.array(guess.points[first:first + h, 0], dtype=float) if x0 is None else x0
+    x = np.array(guess.deviations[first:first + h, 0]) if x0 is None else x0
     if h:  # otherwise (n = 1, or n = 2 on q=0 or q=pi) the line fixes the orbit
-        x = _newton(x, residual, lambda x: _jacobian_diagonal(x, k, fold), qmax, _thomas, tol, max_iter,
-                    lambda: f"{guess.convergent} on {line} at K={k:g}", reach)
-    q = np.concatenate(([c] * first, x, [pin] * pinned, (a - x)[::-1]))
-    return _orbit_from_angles(q, guess, k)
+        x = _newton(x, residual, lambda x: _jacobian_diagonal(x, phase, k, fold), _thomas, tol, max_iter,
+                    lambda: f"{guess.convergent} on {guess.line} at K={k:g}", reach)
+    u = np.concatenate(([0.5 * a] * first, x, [0.5 * a] * pinned, (a - x)[::-1]))
+    return _orbit(u, guess.convergent, k, guess.family, guess.line)
 
 
 def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]:
@@ -424,18 +427,18 @@ def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]
     :class:`DomainError`.
     """
     try:
-        _, first, h, _, fold = layout = _half_layout(prev)
-        x = prev.points[first:first + h, 0]  # empty (h = 0) for n = 2 on q=0 or q=pi
+        _, first, h, _, fold, phase = layout = _half_layout(prev.line, prev.m, prev.n)
+        x = prev.deviations[first:first + h, 0]  # empty (h = 0) for n = 2 on q=0 or q=pi
         t = prev._tangent
         if t is None:
-            t = prev._tangent = np.array(_thomas(_jacobian_diagonal(x, prev.K, fold).tolist(),
-                                                 np.sin(x).tolist())) if h else x
+            t = prev._tangent = np.array(_thomas(_jacobian_diagonal(x, phase, prev.K, fold).tolist(),
+                                                 np.sin(x + phase).tolist())) if h else x
         x_pred = x + (k - prev.K) * t
         reach = _GUARD_RATIO * _sup(x_pred - x)
         nxt = _solve_symmetric(prev, k, x0=x_pred, layout=layout, reach=reach)
     except (RefinementError, ZeroDivisionError):
         return None
-    x_new = nxt.points[first:first + h, 0]
+    x_new = nxt.deviations[first:first + h, 0]
     return nxt if _sup(x_new - x_pred) <= reach else None
 
 
@@ -448,7 +451,7 @@ def refine_newton(orbit: PeriodicOrbit, tol: float = 1e-11, max_iter: int = 30) 
     Raises :class:`RefinementError` on a singular Jacobian or when Newton
     does not converge within ``max_iter`` iterations.
     """
-    if _step_defect(orbit.points, orbit.m, orbit.K) <= tol:
+    if _step_defect(orbit.deviations, _phase(orbit.m, orbit.n), orbit.K) <= tol:
         return orbit
     if orbit.line == LINE_NONE:
         return refine_multishoot(orbit, tol, max_iter)
@@ -521,16 +524,16 @@ def find_periodic_orbit(c: Convergent, k: float, line: str, family: Optional[str
     """The (m, n) orbit of ``family`` whose representative sits on ``line``.
 
     The seed is the closed-form K = 0 orbit, the circle p = 2*pi*m/n through
-    the line's point (for n = 1 the fixed point (0, 0) or (pi, 0)), and
+    the line's point, which is u_i = a/2 in the frame of :func:`_half_layout`
+    (for n = 1 the fixed point (0, 0) or (pi, 0)), and
     :func:`continue_in_K` carries it up to ``k``.  The result therefore
     equals ``OrbitBranch(c, family, line).orbit_at(k)`` bit for bit.  Raises
     :class:`DomainError` for an unknown line or family and
     :class:`ContinuationError` when the continuation stalls.
     """
     family = _check_family(family or FAMILY_RATIONAL)
-    p0 = TWO_PI * c.m / c.n
-    q0, _ = line_seed(line, p0)
-    return continue_in_K(_orbit_from_seed(q0, p0, c, 0.0, family, line), k)
+    a = _half_layout(line, c.m, c.n)[0]
+    return continue_in_K(_orbit(np.full(c.n, 0.5 * a), c, 0.0, family, line), k)
 
 
 # --------------------------------------------------------------------------
@@ -578,11 +581,12 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
     1e-6, which signals an orbit collision or bifurcation.  :meth:`OrbitBranch.climb` yields the same steps one at a
     time.  The fixed points (n = 1) and the 1/2 orbit (c, c + pi) on q=c do
     not move with K and are returned in closed form.  The 1/2 orbit on
-    q=p/2+c has one unknown x = q_0, the root of
-    f(x) = 2 pi + 4c - 4x - K sin x; it starts at x0 = c + pi/2 at K = 0 and
-    stays between x0 and x0 - (pi/2) sin x0, where f' = -4 - K cos x < 0, so
-    it is solved there by :func:`brentq` at any K, and the orbit is
-    (x, 2c + 2 pi m - x) at that root, with no Newton polish: near 2 pi the
+    q=p/2+c has one unknown x = u_0 = q_0, the root of
+    f(x) = 2a - 4x - K sin x with a = 2c + pi; it starts at x0 = a/2 at K = 0
+    and stays between x0 and x0 - (pi/2) sin x0, where f' = -4 - K cos x < 0,
+    so it is solved there by :func:`brentq` at any K, and the orbit has the
+    deviations (x, a - x) at that root, with no Newton polish: the second
+    reduced angle nears 2 pi, where the
     Euler-Lagrange residual cannot fall below K ulp(2 pi), which exceeds
     Newton's tolerance above K of about 1100.  Family and line tags are
     preserved.
@@ -593,11 +597,11 @@ def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
     if orbit.n == 1 or (orbit.n == 2 and orbit.line in RATIONAL_LINES):
         return _solve_symmetric(orbit, k_target)  # no unknowns: the line fixes every angle
     if orbit.n == 2 and orbit.line in ALTERNATE_LINES:
-        c = _half_layout(orbit)[0]
-        x0 = c + 0.5 * math.pi
-        root = brentq(lambda x: TWO_PI + 4.0 * c - 4.0 * x - k_target * math.sin(x),
+        a = _half_layout(orbit.line, orbit.m, orbit.n)[0]
+        x0 = 0.5 * a
+        root = brentq(lambda x: 2.0 * a - 4.0 * x - k_target * math.sin(x),
                       x0, x0 - 0.5 * math.pi * math.sin(x0), xtol=0.0)
-        return _orbit_from_angles(np.array([root, 2.0 * c + TWO_PI * orbit.m - root]), orbit, k_target)
+        return _orbit(np.array([root, a - root]), orbit.convergent, k_target, orbit.family, orbit.line)
     current = orbit
     for current in _steps(orbit, k_target):
         pass

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import ConfigError, DomainError, KamcritError, MergeConflictError
-from .criteria import chirikov_overlap, nch_distance_curve
+from .criteria import check_k_grid, chirikov_overlap, nch_distance_curve
 from .orbits import Convergent, fibonacci_convergents
 from .stability import DEFAULT_TOL_K, check_tol_k, find_destabilization
 
@@ -71,8 +71,11 @@ class ScanConfig:
         needs_grid = {"nch", "chirikov"} & set(self.methods)
         if needs_grid and not self.k_grid:
             raise ConfigError(f"methods {sorted(needs_grid)} require a k_grid")
-        if "nch" in self.methods and len(self.k_grid) < 5:
-            raise ConfigError("the nch method needs a k_grid of at least 5 points")
+        if "nch" in self.methods:
+            try:
+                check_k_grid(self.k_grid)
+            except DomainError as err:
+                raise ConfigError(f"k_grid: {err}") from err
         for key, value in self.tolerances.items():
             if key not in _KNOWN_TOLERANCES:
                 raise ConfigError(f"unknown tolerance override tol.{key}")

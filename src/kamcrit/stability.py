@@ -48,8 +48,13 @@ class Monodromy:
 
     @property
     def trace(self) -> float:
-        # a sum of python floats: an overflowed product gives nan without a numpy warning
-        return float(self.matrix[0, 0]) + float(self.matrix[1, 1])
+        return _trace(self.matrix)
+
+
+def _trace(matrix) -> float:
+    """Trace of a 2x2 matrix as a sum of python floats: an overflowed
+    product gives nan or inf without a numpy warning."""
+    return float(matrix[0][0]) + float(matrix[1][1])
 
 
 @dataclass(frozen=True)
@@ -72,13 +77,14 @@ class StabilityReport:
 
 
 def monodromy(orbit: PeriodicOrbit) -> Monodromy:
-    """Monodromy of a periodic orbit; :class:`RefinementError` unless its
-    closure holds to 1e-9."""
+    """Monodromy of a periodic orbit, taken on its reduced angles
+    (:attr:`~kamcrit.orbits.PeriodicOrbit.angles`); :class:`RefinementError`
+    unless its closure holds to 1e-9."""
     if not math.isfinite(orbit.closure_error) or orbit.closure_error > 1e-9:
         raise RefinementError(
             f"orbit closure {orbit.closure_error:g} exceeds 1e-9; refine before taking the monodromy"
         )
-    m11, m12, m21, m22, det_prod = _kernels.monodromy_product(orbit.points[:, 0], orbit.K)
+    m11, m12, m21, m22, det_prod = _kernels.monodromy_product(orbit.angles, orbit.K)
     return Monodromy(
         matrix=np.array([[m11, m12], [m21, m22]]),
         n=orbit.n,
@@ -88,7 +94,7 @@ def monodromy(orbit: PeriodicOrbit) -> Monodromy:
 
 def residue(m) -> float:
     """Greene residue R = (2 - trace)/4 of a monodromy (or 2x2 matrix)."""
-    tr = m.trace if isinstance(m, Monodromy) else float(np.trace(np.asarray(m)))
+    tr = _trace(m.matrix if isinstance(m, Monodromy) else m)
     return (2.0 - tr) / 4.0
 
 
@@ -103,13 +109,9 @@ def classify(m, n: Optional[int] = None) -> StabilityReport:
     |tr| > 1e154 on.  A trace that is not finite (an overflowed monodromy)
     has no class and raises :class:`RefinementError`.
     """
-    if isinstance(m, Monodromy):
-        tr = m.trace
-        n = m.n if n is None else n
-    else:
-        tr = float(np.trace(np.asarray(m)))
-        if n is None:
-            n = 1
+    tr = _trace(m.matrix if isinstance(m, Monodromy) else m)
+    if n is None:
+        n = m.n if isinstance(m, Monodromy) else 1
     if not math.isfinite(tr):
         raise RefinementError(f"monodromy trace {tr} is not finite (the tangent product overflowed)")
     r = (2.0 - tr) / 4.0

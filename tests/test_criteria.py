@@ -102,7 +102,7 @@ def test_cyclic_shift_matching_equals_assignment_oracle():
         cols, costs = kc.criteria._assignment(a, b)
         assert cols.tolist() == oracle.tolist(), (a.n, a.K)
         assert costs.min() == dist[rows, oracle].min()
-    assert costs.min() == 0.0292845644923891
+    assert costs.min() == 0.02928456449237047
 
 
 def _one_block_assignment(a, b):
@@ -364,17 +364,16 @@ def test_greene_matches_benchmark_reference():
     assert abs(res.k_crit - want) <= 2e-5 * abs(want)
 
 
-# K*(n) and K_crit of greene_kcrit(depth=13), recorded as float.hex before the
-# continuation step's one-pass Thomas solve, its cached tangent and the monodromy's
-# numpy cosines; those speed-ups keep every bit
+# K*(n) and K_crit of greene_kcrit(depth=13), recorded as float.hex with the
+# orbits solved as deviations from the K = 0 circle
 _GREENE13_PER_N = [
-    (2, "0x1.0000000000000p+1"), (3, "0x1.847e093f0156fp+0"), (5, "0x1.491c0d6010b62p+0"),
-    (8, "0x1.25fde911adf74p+0"), (13, "0x1.1438fe994327dp+0"), (21, "0x1.09050329cea71p+0"),
-    (34, "0x1.02b66632282e6p+0"), (55, "0x1.fd8f21a74eacfp-1"), (89, "0x1.f8e48266f3252p-1"),
-    (144, "0x1.f6020b241a2fbp-1"), (233, "0x1.f4427163647d1p-1"), (377, "0x1.f32ed2e72af88p-1"),
-    (610, "0x1.f2865e4053e73p-1"),
+    (2, "0x1.0000000000000p+1"), (3, "0x1.847e093f0156fp+0"), (5, "0x1.491c0d6010b63p+0"),
+    (8, "0x1.25fde911adf73p+0"), (13, "0x1.1438fe9943282p+0"), (21, "0x1.09050329cea62p+0"),
+    (34, "0x1.02b66632282b8p+0"), (55, "0x1.fd8f21a74ea60p-1"), (89, "0x1.f8e48268a8ccbp-1"),
+    (144, "0x1.f6020b2419f76p-1"), (233, "0x1.f4427163656b7p-1"), (377, "0x1.f32ed2e7cdb5ap-1"),
+    (610, "0x1.f2865e5a48940p-1"),
 ]
-_GREENE13_K_CRIT = "0x1.f17d90658decep-1"
+_GREENE13_K_CRIT = "0x1.f17d910c1e430p-1"
 
 
 def test_greene_depth13_bits_are_pinned():

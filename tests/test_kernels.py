@@ -63,7 +63,7 @@ def test_monodromy_product_numpy_cosines_are_bit_identical():
         for family in (kc.FAMILY_RATIONAL, kc.FAMILY_ALTERNATE):
             branch = kc.OrbitBranch(c, family)
             for k in (0.3, 0.97, 1.5):
-                qs = branch.orbit_at(k).points[:, 0]
+                qs = branch.orbit_at(k).angles
                 got, want = _kernels.monodromy_product(qs, k), _monodromy_product_math_cos(qs, k)
                 # compared as bytes: at n = 1597, K = 1.5 the product overflows to nan
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (c, family, k)

@@ -172,11 +172,10 @@ def test_refine_exact_orbit_is_identity():
 
 def test_refine_recovers_perturbed_orbit():
     orb = kc.find_periodic_orbit(kc.Convergent(1, 2), 0.5, kc.LINE_Q0)
-    pts = np.array(orb.points)
-    pts[0] += 1e-4
-    rough = kc.PeriodicOrbit(points=pts, convergent=orb.convergent, K=0.5,
-                             family=orb.family, line=orb.line,
-                             closure_error=max(abs(r) for r in closure_residual(pts[0, 0], pts[0, 1], 1, 2, 0.5)))
+    shift = np.array([[1e-4, 1e-4], [0.0, 0.0]])  # moves row 0 alike in the frame and on the lift
+    pts = orb.points + shift
+    rough = replace(orb, deviations=orb.deviations + shift,
+                    closure_error=max(abs(r) for r in closure_residual(pts[0, 0], pts[0, 1], 1, 2, 0.5)))
     fixed = kc.refine_newton(rough, tol=1e-13)
     np.testing.assert_allclose(fixed.points, [[0, math.pi], [math.pi, math.pi]], atol=1e-11)
     assert fixed.closure_error <= 1e-13
@@ -190,23 +189,21 @@ def test_refine_k0_seed_is_exact():
 
 def test_refine_multishoot_matches_newton():
     orb = kc.find_periodic_orbit(kc.Convergent(3, 5), 0.9, kc.LINE_Q0)
-    pts = np.array(orb.points)
-    pts += 1e-6
-    rough = kc.PeriodicOrbit(points=pts, convergent=orb.convergent, K=0.9,
-                             family=orb.family, line=orb.line, closure_error=1.0)
+    rough = replace(orb, deviations=orb.deviations + 1e-6, closure_error=1.0)
     fixed = refine_multishoot(rough)
     np.testing.assert_allclose(fixed.points, orb.points, atol=1e-9)
     assert fixed.closure_error <= 1e-12
 
 
 def test_refine_multishoot_measures_closed_input():
-    # the period-2 orbit is exact at every K; wrapped as an unmeasured shell
+    # the period-2 orbit (0, pi), (pi, pi) is exact at every K; it is the K = 0
+    # circle itself, so its deviations vanish.  Wrapped as an unmeasured shell
     # it must come back with its measured defect, not the shell's inf
-    shell = kc.PeriodicOrbit(points=np.array([[0.0, math.pi], [math.pi, math.pi]]),
-                             convergent=kc.Convergent(1, 2), K=0.7,
+    shell = kc.PeriodicOrbit(deviations=np.zeros((2, 2)), convergent=kc.Convergent(1, 2), K=0.7,
                              family=kc.FAMILY_RATIONAL, line=kc.LINE_Q0, closure_error=math.inf)
     fixed = refine_multishoot(shell)
-    np.testing.assert_array_equal(fixed.points, shell.points)
+    np.testing.assert_array_equal(fixed.deviations, shell.deviations)
+    np.testing.assert_array_equal(fixed.points, [[0.0, math.pi], [math.pi, math.pi]])
     assert fixed.closure_error <= 1e-12
 
 
@@ -215,7 +212,7 @@ def test_refine_multishoot_recovers_deep_orbit():
     # cyclic Jacobian is well conditioned and Newton returns to the orbit
     orb = kc.rational_orbit(kc.Convergent(233, 377), 0.97)
     rng = np.random.default_rng(0)
-    rough = replace(orb, points=orb.points + 1e-6 * rng.standard_normal(orb.points.shape),
+    rough = replace(orb, deviations=orb.deviations + 1e-6 * rng.standard_normal(orb.deviations.shape),
                     line=kc.orbits.LINE_NONE, closure_error=1.0)
     fixed = refine_multishoot(rough)
     assert fixed.closure_error <= 1e-11
@@ -292,29 +289,33 @@ def test_branch_residue_closed_forms():
 
 # --- bit identity with the full-orbit assembly -----------------------------------
 #
-# Reference copy of the earlier Newton assembly: every iteration rebuilds all
-# n angles with np.append, takes the residual over all of them and slices out
-# the half; the orbit is rebuilt with np.diff and column_stack.  The solver
-# now works on the half's own unknowns and must give the same bits.
+# Reference copy of the earlier Newton assembly, in the frame of the K = 0
+# circle: every iteration rebuilds all n deviations with np.append, takes the
+# periodic residual over all of them and slices out the half; the orbit is
+# rebuilt with np.diff and column_stack.  The solver works on the half's own
+# unknowns and must give the same bits.
 
-def _ref_step_defect(points, m, k):
-    q, p = points[:, 0], points[:, 1]
-    p1 = p + k * np.sin(q)
-    dq = np.append(q[1:], q[0] + TWO_PI * m) - (q + p1)
-    dp = np.append(p[1:], p[0]) - p1
-    return float(max(np.abs(dq).max(), np.abs(dp).max()))
+def _ref_phase(m, n):
+    return TWO_PI * (np.arange(n) * m % n) / n
 
 
-def _ref_el_residual(q, m, k):
-    wrap = TWO_PI * m
-    return np.append(q[1:], q[0] + wrap) - 2.0 * q + np.append(q[-1] - wrap, q[:-1]) - k * np.sin(q)
+def _ref_step_defect(d, m, k):
+    u, v = d[:, 0], d[:, 1]
+    v1 = v + k * np.sin(u + _ref_phase(m, len(u)))
+    du = np.append(u[1:], u[0]) - (u + v1)
+    dv = np.append(v[1:], v[0]) - v1
+    return float(max(np.abs(du).max(), np.abs(dv).max()))
+
+
+def _ref_el_residual(u, m, k):
+    return np.append(u[1:], u[0]) - 2.0 * u + np.append(u[-1], u[:-1]) - k * np.sin(u + _ref_phase(m, len(u)))
 
 
 def _ref_newton(x, assemble, solve, tol, max_iter):
     for _ in range(max_iter):
-        q, e, diag = assemble(x)
-        if kc.orbits._sup(e) <= max(tol, 16.0 * np.finfo(float).eps * float(np.abs(q).max())):
-            return q.copy()
+        u, e, diag = assemble(x)
+        if kc.orbits._sup(e) <= tol:
+            return u.copy()
         try:
             x = x - np.array(solve(diag.tolist(), e.tolist()))
         except ZeroDivisionError as exc:
@@ -322,77 +323,82 @@ def _ref_newton(x, assemble, solve, tol, max_iter):
     raise RefinementError("no convergence")
 
 
-def _ref_orbit_from_angles(q, like, k):
-    points = np.column_stack([q, np.diff(q, prepend=q[-1] - TWO_PI * like.m)])
-    return replace(like, points=points, K=k, closure_error=_ref_step_defect(points, like.m, k))
+def _ref_orbit_from_deviations(u, like, k):
+    d = np.column_stack([u, np.diff(u, prepend=u[-1])])
+    return replace(like, deviations=d, K=k, closure_error=_ref_step_defect(d, like.m, k))
 
 
 def _ref_solve_symmetric(guess, k, tol=1e-12, max_iter=12, x0=None):
     m, n = guess.m, guess.n
-    c, first, h, pinned, fold = kc.orbits._half_layout(guess)
-    q = np.empty(n)
-    q[0] = c
+    a, first, h, pinned, fold, _ = kc.orbits._half_layout(guess.line, m, n)
+    phase = _ref_phase(m, n)[first:first + h]
+    u = np.empty(n)
+    u[0] = 0.5 * a
     if pinned:
-        q[first + h] = c + math.pi * m
+        u[first + h] = 0.5 * a
 
     def assemble(x):
-        q[first:first + h] = x
-        q[n - h:] = (2.0 * c + TWO_PI * m - x)[::-1]
-        return q, _ref_el_residual(q, m, k)[first:first + h], -2.0 - k * np.cos(x) + fold
+        u[first:first + h] = x
+        u[n - h:] = (a - x)[::-1]
+        return u, _ref_el_residual(u, m, k)[first:first + h], -2.0 - k * np.cos(x + phase) + fold
 
     if x0 is None:
-        x0 = np.array(guess.points[first:first + h, 0], dtype=float)
-    q = _ref_newton(x0, assemble, kc.orbits._thomas, tol, max_iter)
-    return _ref_orbit_from_angles(q, guess, k)
+        x0 = np.array(guess.deviations[first:first + h, 0], dtype=float)
+    u = _ref_newton(x0, assemble, kc.orbits._thomas, tol, max_iter)
+    return _ref_orbit_from_deviations(u, guess, k)
 
 
 def _ref_continuation_step(prev, k):
-    _, first, h, _, fold = kc.orbits._half_layout(prev)
-    x = prev.points[first:first + h, 0]
-    t = np.array(kc.orbits._thomas((-2.0 - prev.K * np.cos(x) + fold).tolist(),
-                                   np.sin(x).tolist())) if h else x
+    _, first, h, _, fold, _ = kc.orbits._half_layout(prev.line, prev.m, prev.n)
+    x = prev.deviations[first:first + h, 0]
+    phase = _ref_phase(prev.m, prev.n)[first:first + h]
+    t = np.array(kc.orbits._thomas((-2.0 - prev.K * np.cos(x + phase) + fold).tolist(),
+                                   np.sin(x + phase).tolist())) if h else x
     x_pred = x + (k - prev.K) * t
     try:
         nxt = _ref_solve_symmetric(prev, k, x0=x_pred)
     except RefinementError:
         return None
-    x_new = nxt.points[first:first + h, 0]
+    x_new = nxt.deviations[first:first + h, 0]
     sup = kc.orbits._sup
     return nxt if sup(x_new - x_pred) <= kc.orbits._GUARD_RATIO * sup(x_pred - x) else None
 
 
 def _ref_refine_newton(orbit, tol=1e-11, max_iter=30):
-    if _ref_step_defect(orbit.points, orbit.m, orbit.K) <= tol:
+    if _ref_step_defect(orbit.deviations, orbit.m, orbit.K) <= tol:
         return orbit
     return _ref_solve_symmetric(orbit, orbit.K, tol, max_iter)
 
 
 def _ref_multishoot(orbit, tol=1e-12, max_iter=40):
     m, k = orbit.m, orbit.K
-    err = _ref_step_defect(orbit.points, m, k)
+    err = _ref_step_defect(orbit.deviations, m, k)
     if err <= tol:
         return replace(orbit, closure_error=err)
+    phase = _ref_phase(m, orbit.n)
 
-    def assemble(q):
-        return q, _ref_el_residual(q, m, k), -2.0 - k * np.cos(q)
+    def assemble(u):
+        return u, _ref_el_residual(u, m, k), -2.0 - k * np.cos(u + phase)
 
-    q0 = np.array(orbit.points[:, 0], dtype=float)
-    return _ref_orbit_from_angles(_ref_newton(q0, assemble, kc.orbits._cyclic_thomas, tol, max_iter), orbit, k)
+    u0 = np.array(orbit.deviations[:, 0], dtype=float)
+    return _ref_orbit_from_deviations(_ref_newton(u0, assemble, kc.orbits._cyclic_thomas, tol, max_iter),
+                                      orbit, k)
 
 
 def _outcome(solve, orbit):
-    """(points bytes, closure_error) of ``solve(orbit)``, or None when it is refused."""
+    """(deviations bytes, closure_error, ...) of ``solve(orbit)``, or None when it is refused."""
     try:
         got = solve(orbit)
     except RefinementError:
         return None
-    return None if got is None else (got.points.tobytes(), got.closure_error, got.K, got.line, got.family)
+    return None if got is None else (got.deviations.tobytes(), got.closure_error, got.K, got.line, got.family)
 
 
 _BIT_ORDERS = [c for c in kc.fibonacci_convergents(12) if c.n in (2, 3, 5, 8, 13, 55, 233)]
 _BIT_STEPS = ((0.3, 0.5), (0.9, 0.95), (1.0, 1.05))
-# from n = 1597 on the lift max|q| passes 2815, where Newton stops on
-# 16*eps*max|q| instead of the tolerance
+# at n = 1597 the lift reaches q = 6300, where one ulp of q exceeds 1e-12;
+# its deviations stay O(1), so the half Newton meets the same absolute
+# tolerance there as at every shallower order
 _BIT_CASES = [(c, _BIT_STEPS) for c in _BIT_ORDERS] + [(kc.Convergent(987, 1597), _BIT_STEPS[:1])]
 
 
@@ -417,14 +423,14 @@ def test_refinement_of_fixed_points_and_free_orbits_is_bit_identical():
     # n = 1: the unified defect and the one-angle Newton on every line
     for line in kc.orbits.ALL_LINES:
         orb = kc.find_periodic_orbit(kc.Convergent(0, 1), 0.7, line)
-        rough = replace(orb, points=orb.points + 1e-3)
+        rough = replace(orb, deviations=orb.deviations + 1e-3)
         assert _outcome(kc.refine_newton, rough) == _outcome(_ref_refine_newton, rough)
         assert _outcome(refine_multishoot, rough) == _outcome(_ref_multishoot, rough)
     # the full cyclic system of an orbit tied to no line
     rng = np.random.default_rng(3)
     for c in _BIT_ORDERS:
         orb = kc.rational_orbit(c, 0.9)
-        rough = replace(orb, points=orb.points + 1e-7 * rng.standard_normal(orb.points.shape),
+        rough = replace(orb, deviations=orb.deviations + 1e-7 * rng.standard_normal(orb.deviations.shape),
                         line=kc.orbits.LINE_NONE)
         got = _outcome(refine_multishoot, rough)
         assert got is not None and got == _outcome(_ref_multishoot, rough)
@@ -780,6 +786,14 @@ def test_closure_invariant_sample():
             o = kc.rational_orbit(c, k)
             rq, rp = closure_residual(o.points[0, 0], o.points[0, 1], c.m, c.n, k)
             assert max(abs(rq), abs(rp)) <= 1e-9
+
+
+def test_deep_order_closes_at_rounding_level():
+    # on the lift q reaches 2*pi*m = 4.7e5 here, where one ulp of q is 5.8e-11;
+    # the deviations from the K = 0 circle stay O(1) and close at rounding level
+    o = kc.rational_orbit(kc.Convergent(75025, 121393), 0.875)
+    assert o.closure_error <= 1e-12
+    assert kc.monodromy(o).n == 121393
 
 
 def test_winding_exactness_multiple_periods():

@@ -101,8 +101,9 @@ def test_validation_rules(tmp_path):
         parse_scan_config(_cfg_text(tmp_path / "o", depth=0))
     with pytest.raises(ConfigError):
         parse_scan_config(_cfg_text(tmp_path / "o", grid="0.9,0.5"))
-    with pytest.raises(ConfigError):
-        parse_scan_config(_cfg_text(tmp_path / "o", methods="nch", grid="0.5,0.7,0.9"))
+    for grid in ("0.5,0.7,0.9", "0.5,0.7,0.9,1.1"):  # criteria.check_k_grid's rule: 5 points
+        with pytest.raises(ConfigError, match="at least 5 points"):
+            parse_scan_config(_cfg_text(tmp_path / "o", methods="nch", grid=grid))
 
 
 def test_worker_count_env(monkeypatch, tmp_path):

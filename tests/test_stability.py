@@ -48,7 +48,7 @@ def test_integrable_monodromy_is_shear_power():
 
 def test_monodromy_requires_tight_closure():
     orb = _orbit(1, 2, 0.5)
-    loose = kc.PeriodicOrbit(points=orb.points, convergent=orb.convergent, K=orb.K,
+    loose = kc.PeriodicOrbit(deviations=orb.deviations, convergent=orb.convergent, K=orb.K,
                              family=orb.family, line=orb.line, closure_error=1e-6)
     with pytest.raises(RefinementError):
         kc.monodromy(loose)
@@ -58,8 +58,9 @@ def test_trace_invariant_under_cyclic_start():
     orb = _orbit(3, 5, 0.8)
     base = kc.monodromy(orb).trace
     for shift in range(1, 5):
+        # started at point s, the deviations are q_{i+s} - 2 pi m i/n = u_{i+s} + 2 pi m s/n
         rolled = kc.PeriodicOrbit(
-            points=np.roll(orb.points, -shift, axis=0),
+            deviations=np.roll(orb.deviations, -shift, axis=0) + [TWO_PI * orb.m * shift / orb.n, 0.0],
             convergent=orb.convergent, K=orb.K, family=orb.family,
             line=kc.orbits.LINE_NONE, closure_error=orb.closure_error,
         )
@@ -125,8 +126,8 @@ def test_classify_refuses_a_trace_that_is_not_finite(m11, m22):
         warnings.simplefilter("error")  # the trace of an overflowed product warns of nothing
         with pytest.raises(RefinementError, match="not finite"):
             kc.classify(_mono(m11, m22, 377))
-    with np.errstate(invalid="ignore"), pytest.raises(RefinementError):  # np.trace of a raw matrix
-        kc.classify(np.array([[m11, 0.0], [0.0, m22]]))
+        with pytest.raises(RefinementError, match="not finite"):  # nor does a raw matrix's
+            kc.classify(np.array([[m11, 0.0], [0.0, m22]]))
 
 
 def test_classify_spectral_radius_where_the_trace_squared_overflows():
