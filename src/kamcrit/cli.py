@@ -26,6 +26,7 @@ from .orbits import (
     FAMILY_RATIONAL,
     Convergent,
     OrbitBranch,
+    fibonacci_convergents,
 )
 from .scan import (
     _parse_real_list,
@@ -36,7 +37,7 @@ from .scan import (
     write_atomic,
     write_merged,
 )
-from .stability import DEFAULT_TOL_K, classify, monodromy
+from .stability import classify, monodromy
 
 
 def _summary(**fields) -> str:
@@ -90,7 +91,7 @@ def cmd_residue(args) -> int:
 
 
 def cmd_kcrit_greene(args) -> int:
-    result = greene_kcrit(depth=args.depth, tol_k=args.tol_k)
+    result = greene_kcrit(depth=args.depth)
     for n, k_star in result.per_n:
         print(f"n={n} K_star={k_star:.8f}")
     for failure in result.diagnostics["failures"]:
@@ -111,7 +112,9 @@ def cmd_kcrit_greene(args) -> int:
 
 
 def cmd_kcrit_nch(args) -> int:
-    grid = check_k_grid(_parse_real_list(args.k_grid))  # before any numeric work
+    # the grid and the depth are checked before any numeric work
+    grid = check_k_grid(_parse_real_list(args.k_grid))
+    fibonacci_convergents(args.depth)
     greene_value = None
     if args.greene_depth:
         greene_value = greene_kcrit(depth=args.greene_depth).k_crit
@@ -249,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kcrit-greene", help="destabilization thresholds and extrapolated K_crit")
     p.add_argument("--depth", type=int, required=True,
                    help="number of Fibonacci convergents (8 reaches order 55)")
-    p.add_argument("--tol-k", type=float, default=DEFAULT_TOL_K,
-                   help="K* within tol-k/2 of R = 1 (default 1e-6)")
     p.add_argument("--out", default=None, help="output JSON file")
     p.set_defaults(func=cmd_kcrit_greene)
 

@@ -37,7 +37,7 @@ from .orbits import (
     PeriodicOrbit,
     fibonacci_convergents,
 )
-from .stability import DEFAULT_TOL_K, check_tol_k, find_destabilization
+from .stability import find_destabilization
 
 __all__ = [
     "CriterionResult",
@@ -170,26 +170,24 @@ def _extrapolation_label(accelerated: bool) -> str:
 def greene_kcrit(
     depth: int = 8,
     convergents: Optional[Sequence[Convergent]] = None,
-    tol_k: float = DEFAULT_TOL_K,
 ) -> CriterionResult:
     """Destabilization thresholds K*(n) over the convergent family, extrapolated.
 
     ``convergents`` overrides the default Fibonacci list (e.g. a single
-    ``Convergent(0, 1)`` reproduces the fixed-point threshold 4).  ``tol_k``
-    is checked up front (:class:`DomainError`); after that, an
+    ``Convergent(0, 1)`` reproduces the fixed-point threshold 4).  Each K*(n)
+    lies within 5e-7 of its crossing (:func:`find_destabilization`).  An
     order that fails numerically (no bracket, a stalled continuation, an
     orbit whose closure the monodromy refuses) is recorded in
     ``diagnostics["failures"]`` and the extrapolation uses the available tail;
     ``diagnostics["residue_evals"]`` counts each order's residue evaluations.
     """
     cs = list(convergents) if convergents is not None else fibonacci_convergents(depth)
-    check_tol_k(tol_k)
     per_n: List[Tuple[int, float]] = []
     failures = []
     brackets, residue_evals = {}, {}
     for c in cs:
         try:
-            k_star, info = find_destabilization(c, tol_k=tol_k)
+            k_star, info = find_destabilization(c)
         except (BracketingError, RefinementError, ContinuationError) as err:
             failures.append({"n": c.n, "error": str(err)})
             continue
@@ -206,7 +204,6 @@ def greene_kcrit(
         "brackets": brackets,
         "residue_evals": residue_evals,
         "failures": failures,
-        "tol_k": tol_k,
     }
     return CriterionResult("greene", k_crit, per_n, diagnostics)
 

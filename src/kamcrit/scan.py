@@ -9,8 +9,8 @@ Config files are flat key-value text, one ``key = value`` per line with
                                  # comma-separated list of reals
     output_dir = out/run1        # relative paths resolve against the
                                  # config file's directory
-    tol.k_star = 1e-6            # optional: each K*(n) lies within half of
-                                 # it of the crossing (positive, default 1e-6)
+
+Any other key, a ``tol.`` key included, is refused with :class:`ConfigError`.
 
 Each (method, order/K) task is independent; failures are recorded per task
 in the manifest and never stop the remaining tasks.  Worker count comes
@@ -39,10 +39,9 @@ from . import __version__
 from .errors import ConfigError, DomainError, KamcritError, MergeConflictError
 from .criteria import check_k_grid, chirikov_overlap, nch_distance_curve
 from .orbits import Convergent, fibonacci_convergents
-from .stability import DEFAULT_TOL_K, check_tol_k, find_destabilization
+from .stability import find_destabilization
 
 METHODS = ("greene", "nch", "chirikov")
-_KNOWN_TOLERANCES = ("k_star",)
 _MAX_RANGE_POINTS = 10_000
 
 Row = Tuple[str, int, str, float]  # (method, n, K_or_stat, value)
@@ -54,7 +53,6 @@ class ScanConfig:
     depth: int
     output_dir: Path
     k_grid: List[float] = field(default_factory=list)
-    tolerances: Dict[str, float] = field(default_factory=dict)
 
     def validate(self) -> None:
         if not self.methods:
@@ -76,13 +74,6 @@ class ScanConfig:
                 check_k_grid(self.k_grid)
             except DomainError as err:
                 raise ConfigError(f"k_grid: {err}") from err
-        for key, value in self.tolerances.items():
-            if key not in _KNOWN_TOLERANCES:
-                raise ConfigError(f"unknown tolerance override tol.{key}")
-            try:
-                check_tol_k(value)
-            except DomainError as err:
-                raise ConfigError(f"tol.{key}: {err}") from err
 
     def to_record(self) -> dict:
         return {
@@ -90,7 +81,6 @@ class ScanConfig:
             "depth": self.depth,
             "k_grid": [float(k) for k in self.k_grid],
             "output_dir": str(self.output_dir),
-            "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
         }
 
     def content_hash(self) -> str:
@@ -145,7 +135,6 @@ def parse_scan_config(text: str, base_dir: Optional[Path] = None) -> ScanConfig:
     depth: Optional[int] = None
     k_grid: List[float] = []
     output_dir: Optional[str] = None
-    tolerances: Dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,11 +153,6 @@ def parse_scan_config(text: str, base_dir: Optional[Path] = None) -> ScanConfig:
             k_grid = _parse_real_list(value)
         elif key == "output_dir":
             output_dir = value
-        elif key.startswith("tol."):
-            try:
-                tolerances[key[4:]] = float(value)
-            except ValueError as err:
-                raise ConfigError(f"line {lineno}: tolerance must be a real") from err
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     if depth is None:
@@ -178,8 +162,7 @@ def parse_scan_config(text: str, base_dir: Optional[Path] = None) -> ScanConfig:
     out_path = Path(output_dir)
     if base_dir is not None and not out_path.is_absolute():
         out_path = base_dir / out_path
-    cfg = ScanConfig(methods=methods, depth=depth, output_dir=out_path,
-                     k_grid=k_grid, tolerances=tolerances)
+    cfg = ScanConfig(methods=methods, depth=depth, output_dir=out_path, k_grid=k_grid)
     cfg.validate()
     return cfg
 
@@ -209,8 +192,8 @@ class RunManifest:
 # --------------------------------------------------------------------------
 
 def _task_greene(payload) -> List[Row]:
-    m, n, tol_k = payload
-    k_star, _ = find_destabilization(Convergent(m, n), tol_k=tol_k)
+    m, n = payload
+    k_star, _ = find_destabilization(Convergent(m, n))
     return [("greene", n, "K_star", k_star)]
 
 
@@ -253,12 +236,11 @@ def worker_count(override: Optional[int] = None) -> int:
 
 
 def _build_tasks(cfg: ScanConfig):
-    tol_k = cfg.tolerances.get("k_star", DEFAULT_TOL_K)
     tasks = []
     for method in cfg.methods:
         if method == "greene":
             for c in fibonacci_convergents(cfg.depth):
-                tasks.append((f"greene:n={c.n}", _task_greene, (c.m, c.n, tol_k)))
+                tasks.append((f"greene:n={c.n}", _task_greene, (c.m, c.n)))
         elif method == "nch":
             for c in fibonacci_convergents(cfg.depth):
                 tasks.append((f"nch:n={c.n}", _task_nch, (c.m, c.n, list(cfg.k_grid))))

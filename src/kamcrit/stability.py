@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .errors import BracketingError, DomainError, RefinementError
+from .errors import BracketingError, RefinementError
 from .orbits import (
     FAMILY_RATIONAL,
     Convergent,
@@ -132,33 +132,23 @@ def classify(m, n: Optional[int] = None) -> StabilityReport:
 # --------------------------------------------------------------------------
 
 _K_MAX = 4.5  # the top of the upward walk that brackets R = 1
-DEFAULT_TOL_K = 1e-6  # each K*(n) lies within half of it of the crossing
-
-
-def check_tol_k(tol_k: float) -> float:
-    """Validate a threshold tolerance in K: positive and finite."""
-    tol_k = float(tol_k)
-    if not (math.isfinite(tol_k) and tol_k > 0.0):
-        raise DomainError(f"tol_k must be positive and finite, got {tol_k!r}")
-    return tol_k
+_XTOL = 5e-7  # Brent's xtol: each K*(n) lies within it of the crossing
 
 
 def destabilization_K(
     c: Convergent,
-    line: Optional[str] = None,
     family: str = FAMILY_RATIONAL,
-    tol_k: float = DEFAULT_TOL_K,
+    line: Optional[str] = None,
 ) -> float:
     """Stochasticity at which the orbit's residue crosses 1 (trace -> -2);
     the K* of :func:`find_destabilization`."""
-    return find_destabilization(c, family, line, tol_k)[0]
+    return find_destabilization(c, family, line)[0]
 
 
 def find_destabilization(
     c: Convergent,
     family: str = FAMILY_RATIONAL,
     line: Optional[str] = None,
-    tol_k: float = DEFAULT_TOL_K,
 ) -> Tuple[float, dict]:
     """Walk K upward until the residue crosses 1, then solve for the crossing.
 
@@ -169,17 +159,15 @@ def find_destabilization(
     The steps are multiples of 0.25 until the guard of
     :func:`kamcrit.orbits.continue_in_K` first halves one, which it does
     near K*(n) from n = 144 on.  The bracket is solved by :func:`brentq` on
-    log R (on R - 1 where rounding
-    gives R <= 0, which keeps the sign), each probe continued from the
-    nearest cached step below it, so K* lies within ``tol_k``/2 of the
-    crossing (:class:`DomainError` unless ``tol_k`` is positive and finite)
-    and depends on nothing but the arguments.  Returns (K*, info): the
-    bracket, every residue evaluation as (K, R) in call order, and the line.
+    log R (on R - 1 where rounding gives R <= 0, which keeps the sign), each
+    probe continued from the nearest cached step below it, so K* lies within
+    ``_XTOL`` = 5e-7 of the crossing and depends on nothing but (c, family,
+    line).  Returns (K*, info): the bracket, every residue evaluation as
+    (K, R) in call order, and the line.
     Raises :class:`BracketingError` when the walk brackets no crossing, and
     at the first residue that is not finite (an overflowed monodromy is
     neither below 1 nor a crossing).
     """
-    tol_k = check_tol_k(tol_k)
     branch = OrbitBranch(c, family, line)
     residues = {}  # K -> R in evaluation order; Brent re-reads the walk's ends
 
@@ -201,5 +189,5 @@ def find_destabilization(
             f"no residue crossing below K_max={_K_MAX:g} for {c} (last residue {residues[orbit.K]:.4g})"
         )
     bracket = (k_lo, orbit.K)
-    k_star = brentq(log_residue, *bracket, xtol=0.5 * tol_k)
+    k_star = brentq(log_residue, *bracket, xtol=_XTOL)
     return k_star, {"bracket": bracket, "samples": list(residues.items()), "line": branch.line}

@@ -22,6 +22,7 @@ from kamcrit._kernels import batch_trajectory
 from kamcrit.cli import _parse_seeds, build_parser, main
 from kamcrit.errors import BracketingError
 from kamcrit.mapcore import wrap_angle, wrap_momentum
+from kamcrit.scan import parse_scan_config
 
 TWO_PI = 2 * math.pi
 
@@ -152,10 +153,6 @@ def test_kcrit_greene_depth0_usage_error(capsys):
     assert main(["kcrit-greene", "--depth", "0"]) == 2
 
 
-def test_kcrit_greene_bad_tolerance_usage_error(capsys):
-    assert main(["kcrit-greene", "--depth", "2", "--tol-k", "0"]) == 2
-
-
 def test_kcrit_greene_closure_refusals_are_numeric_failures(monkeypatch, capsys):
     # every order's orbit is refused by the monodromy, so no threshold remains
     real = OrbitBranch.orbit_at
@@ -213,15 +210,19 @@ def test_kcrit_nch_failure_leaves_no_partial_file(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid,message", [("1,2", "K grid needs at least 5 points"),
-                                          ("", "K grid needs at least 5 points"),
-                                          ("0.9,0.8,1.0,1.1,1.2", "K grid must be strictly increasing")])
-def test_kcrit_nch_checks_its_grid_before_greene(grid, message, monkeypatch, capsys):
+@pytest.mark.parametrize("depth,grid,message", [
+    (1, "1,2", "K grid needs at least 5 points"),
+    (1, "", "K grid needs at least 5 points"),
+    (1, "0.9,0.8,1.0,1.1,1.2", "K grid must be strictly increasing"),
+    (0, "0.80:0.02:1.10", "depth must be >= 1, got 0"),
+])
+def test_kcrit_nch_checks_its_grid_before_greene(depth, grid, message, monkeypatch, capsys):
     def no_greene(**kw):
-        raise AssertionError("greene_kcrit ran before the grid was checked")
+        raise AssertionError("greene_kcrit ran before the grid and depth were checked")
 
     monkeypatch.setattr(kamcrit.cli, "greene_kcrit", no_greene)
-    assert main(["kcrit-nch", "--depth", "1", "--k-grid", grid, "--greene-depth", "20"]) == 2
+    argv = ["kcrit-nch", "--depth", str(depth), "--k-grid", grid, "--greene-depth", "20"]
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -425,7 +426,7 @@ def test_exit_code_table(argv, code, tmp_path, capsys):
     # the scan's only task escapes, so no task succeeds
     (tmp_path / "fail.cfg").write_text(
         f"methods = chirikov\ndepth = 1\nk_grid = 5.0\noutput_dir = {tmp_path / 'run'}\n")
-    # a zero tolerance would ask for K* exactly at the R = 1 crossing
+    # K*'s resolution is fixed, so a tol. key is an unknown key
     (tmp_path / "tol0.cfg").write_text(
         f"methods = greene\ndepth = 1\ntol.k_star = 0\noutput_dir = {tmp_path / 'run'}\n")
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
@@ -448,6 +449,14 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # a bad flag exits 2 through SystemExit
+
+
+def test_readme_scan_grammar_parses(tmp_path):
+    # README's "Scan config grammar" block is a config the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"^### Scan config grammar\n.*?^```\n(.*?)^```", readme, flags=re.M | re.S)
+    cfg = parse_scan_config(block, base_dir=tmp_path)
+    assert cfg.methods and cfg.k_grid
 
 
 def test_help_exits_zero():

@@ -11,6 +11,7 @@ from kamcrit.stability import (
     HYPERBOLIC,
     INVERSE_HYPERBOLIC,
     PARABOLIC,
+    _XTOL,
     Monodromy,
     find_destabilization,
 )
@@ -154,26 +155,21 @@ def test_report_record_fields():
 # --- destabilization ----------------------------------------------------------------
 
 def test_destabilization_closed_forms():
-    tol_k = 1e-6
-    k_fp = kc.destabilization_K(kc.Convergent(0, 1), line=kc.LINE_QPI, tol_k=tol_k)
-    assert abs(k_fp - 4.0) <= tol_k / 2
-    k_12 = kc.destabilization_K(kc.Convergent(1, 2), tol_k=tol_k)
-    assert abs(k_12 - 2.0) <= tol_k / 2
+    k_fp = kc.destabilization_K(kc.Convergent(0, 1), line=kc.LINE_QPI)
+    assert abs(k_fp - 4.0) <= _XTOL
+    k_12 = kc.destabilization_K(kc.Convergent(1, 2))
+    assert abs(k_12 - 2.0) <= _XTOL
 
 
-@pytest.mark.parametrize("tol_k, m, n", [
-    *[(tol_k, m, n) for tol_k in (1e-3, 1e-6) for m, n in ((3, 5), (8, 13), (55, 89))],
-    (1e-6, 233, 377),
-    (1e-6, 377, 610),
-])
-def test_destabilization_within_half_tolerance(tol_k, m, n):
-    # K* lies within tol_k/2 of the R = 1 crossing; each side is taken on a
-    # fresh branch, so no cached orbit of the search is reused.  From n = 144
-    # on the bracket ends at the walk's first step past the crossing, not
-    # at a multiple of 0.25
+@pytest.mark.parametrize("m, n", [(3, 5), (8, 13), (55, 89), (233, 377), (377, 610)])
+def test_destabilization_within_half_tolerance(m, n):
+    # K* lies within Brent's xtol of the R = 1 crossing; each side is taken
+    # on a fresh branch, so no cached orbit of the search is reused.  From
+    # n = 144 on the bracket ends at the walk's first step past the
+    # crossing, not at a multiple of 0.25
     c = kc.Convergent(m, n)
-    k_star = kc.destabilization_K(c, tol_k=tol_k)
-    margin = tol_k / 2 + 1e-12
+    k_star = kc.destabilization_K(c)
+    margin = _XTOL + 1e-12
 
     def r(k):
         return kc.residue(kc.monodromy(kc.OrbitBranch(c).orbit_at(k)))
@@ -194,9 +190,12 @@ def test_destabilization_samples_every_residue_evaluation():
 
 
 def test_destabilization_bracket_validation():
-    # the alternate 1/2 orbit is hyperbolic (R < 0), so the walk finds no crossing
+    # the alternate 1/2 orbit is hyperbolic (R < 0), so the walk finds no
+    # crossing; both entry points take (c, family, line) in that order
     with pytest.raises(BracketingError):
         kc.destabilization_K(kc.Convergent(1, 2), family=kc.FAMILY_ALTERNATE)
+    with pytest.raises(BracketingError):
+        kc.destabilization_K(kc.Convergent(1, 2), kc.FAMILY_ALTERNATE)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
@@ -225,12 +224,6 @@ def test_destabilization_non_finite_residue_is_a_failure(monkeypatch, bad):
     assert [n for n, _ in res.per_n] == [2, 3, 8]
     [failure] = res.diagnostics["failures"]
     assert failure["n"] == 5 and "non-finite residue" in failure["error"]
-
-
-@pytest.mark.parametrize("tol_k", [0.0, -1e-6, math.nan, math.inf])
-def test_destabilization_rejects_bad_tolerance(tol_k):
-    with pytest.raises(DomainError):
-        find_destabilization(kc.Convergent(1, 2), tol_k=tol_k)
 
 
 def test_find_destabilization_walk():
