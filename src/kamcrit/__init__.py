@@ -19,11 +19,9 @@ from .errors import (
     MergeConflictError,
     NoInteriorMinimumError,
     RefinementError,
-    UnsupportedParameterError,
     WidthMeasurementError,
 )
 from .mapcore import (
-    STANDARD_MAP,
     TWO_PI,
     PhasePoint,
     check_stochasticity,

@@ -22,8 +22,10 @@ from .errors import ConfigError, KamcritError
 from .mapcore import TWO_PI, check_stochasticity, wrap_angle, wrap_momentum
 from .orbits import (
     ALL_LINES,
+    ALTERNATE_LINES,
     FAMILY_ALTERNATE,
     FAMILY_RATIONAL,
+    RATIONAL_LINES,
     Convergent,
     OrbitBranch,
     fibonacci_convergents,
@@ -52,7 +54,11 @@ def _summary(**fields) -> str:
 
 def _orbit_for(args):
     c = Convergent(args.m, args.n)
-    family = FAMILY_RATIONAL if args.family == "rational" else FAMILY_ALTERNATE
+    family, lines = ((FAMILY_RATIONAL, RATIONAL_LINES) if args.family == "rational"
+                     else (FAMILY_ALTERNATE, ALTERNATE_LINES))
+    if args.line is not None and args.line not in lines:
+        raise ConfigError(f"--line {args.line} is not on the {args.family} family's pair "
+                          f"(expected {' or '.join(lines)})")
     return OrbitBranch(c, family, line=args.line).orbit_at(args.K)
 
 
@@ -238,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=("rational", "alternate"), default="rational",
                        help="orbit family (default: rational)")
         p.add_argument("--line", choices=ALL_LINES, default=None,
-                       help="symmetry line override (default: family rule)")
+                       help="symmetry line override within the family's pair (default: family rule)")
         p.add_argument("--out", default=None, help="output file (.json or .csv)")
 
     p = sub.add_parser("orbit", help="find one periodic orbit and report its stability")
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="run a batch sweep from a config file, or merge runs")
     p.add_argument("--config", default=None, help="scan config file")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: KAMCRIT_THREADS or 1)")
+                   help="worker count, at least 1 (default: 1)")
     p.add_argument("--merge", action="append", default=None,
                    help="merge result directories (repeatable)")
     p.add_argument("--out-dir", default=None, help="output directory for --merge")
@@ -297,8 +303,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (KamcritError, OSError) as err:
         # usage errors exit 2: OSError and the kinds that are also ValueErrors
-        # (ConfigError, DomainError, UnsupportedParameterError); any other
-        # kind is a numeric failure and exits 1
+        # (ConfigError, DomainError); any other kind is a numeric failure
+        # and exits 1
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, (ValueError, OSError)) else 1
 

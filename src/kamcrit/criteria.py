@@ -167,25 +167,21 @@ def _extrapolation_label(accelerated: bool) -> str:
 # Greene criterion
 # --------------------------------------------------------------------------
 
-def greene_kcrit(
-    depth: int = 8,
-    convergents: Optional[Sequence[Convergent]] = None,
-) -> CriterionResult:
-    """Destabilization thresholds K*(n) over the convergent family, extrapolated.
+def greene_kcrit(depth: int = 8) -> CriterionResult:
+    """Destabilization thresholds K*(n) over the first ``depth`` Fibonacci
+    convergents 1/2, 2/3, 3/5, ..., extrapolated.
 
-    ``convergents`` overrides the default Fibonacci list (e.g. a single
-    ``Convergent(0, 1)`` reproduces the fixed-point threshold 4).  Each K*(n)
-    lies within 5e-7 of its crossing (:func:`find_destabilization`).  An
-    order that fails numerically (no bracket, a stalled continuation, an
-    orbit whose closure the monodromy refuses) is recorded in
-    ``diagnostics["failures"]`` and the extrapolation uses the available tail;
-    ``diagnostics["residue_evals"]`` counts each order's residue evaluations.
+    Each K*(n) lies within 5e-7 of its crossing
+    (:func:`find_destabilization`).  An order that fails numerically (no
+    bracket, a stalled continuation, an orbit whose closure the monodromy
+    refuses) is recorded in ``diagnostics["failures"]`` and the
+    extrapolation uses the available tail; ``diagnostics["residue_evals"]``
+    counts each order's residue evaluations.
     """
-    cs = list(convergents) if convergents is not None else fibonacci_convergents(depth)
     per_n: List[Tuple[int, float]] = []
     failures = []
     brackets, residue_evals = {}, {}
-    for c in cs:
+    for c in fibonacci_convergents(depth):
         try:
             k_star, info = find_destabilization(c)
         except (BracketingError, RefinementError, ContinuationError) as err:

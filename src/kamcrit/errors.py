@@ -9,10 +9,6 @@ class DomainError(KamcritError, ValueError):
     """Invalid argument or state (non-finite input, bad winding fraction, ...)."""
 
 
-class UnsupportedParameterError(KamcritError, ValueError):
-    """Parameter value outside the implemented range (e.g. a map other than the standard map)."""
-
-
 class RefinementError(KamcritError):
     """Newton polish of an orbit failed (singular Jacobian or divergence)."""
 

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, UnsupportedParameterError
+from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,10 +83,6 @@ def step_standard(x: PointLike, k: float) -> PhasePoint:
     return PhasePoint(pt.q + p1, p1)
 
 
-# the one map_def that euler_lagrange_residual accepts
-STANDARD_MAP = "standard"
-
-
 def symplecticity_check(x: PointLike, k: float) -> float:
     """|det DT(x) - 1| for the tangent map DT = [[1 + c, 1], [c, 1]], c = K cos q,
     in the rounding of that 2x2 determinant."""
@@ -108,12 +104,7 @@ def as_points_array(traj) -> np.ndarray:
     return arr
 
 
-def _check_map(map_def) -> None:
-    if map_def != STANDARD_MAP:
-        raise UnsupportedParameterError(f"only the standard map is implemented, got {map_def!r}")
-
-
-def euler_lagrange_residual(traj, map_def: str = STANDARD_MAP, k: float = 0.0) -> np.ndarray:
+def euler_lagrange_residual(traj, k: float) -> np.ndarray:
     """Stationarity residuals of the discrete action at each interior point.
 
     Entry j (for interior index i = j + 1) is the max-norm of the two
@@ -125,7 +116,6 @@ def euler_lagrange_residual(traj, map_def: str = STANDARD_MAP, k: float = 0.0) -
 
     Both vanish exactly on true map trajectories.
     """
-    _check_map(map_def)
     pts = as_points_array(traj)
     n = pts.shape[0]
     if n < 3:

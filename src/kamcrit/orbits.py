@@ -520,7 +520,7 @@ def _check_family(family: str) -> str:
     return family
 
 
-def find_periodic_orbit(c: Convergent, k: float, line: str, family: Optional[str] = None) -> PeriodicOrbit:
+def find_periodic_orbit(c: Convergent, k: float, line: str, family: str = FAMILY_RATIONAL) -> PeriodicOrbit:
     """The (m, n) orbit of ``family`` whose representative sits on ``line``.
 
     The seed is the closed-form K = 0 orbit, the circle p = 2*pi*m/n through
@@ -531,7 +531,7 @@ def find_periodic_orbit(c: Convergent, k: float, line: str, family: Optional[str
     :class:`DomainError` for an unknown line or family and
     :class:`ContinuationError` when the continuation stalls.
     """
-    family = _check_family(family or FAMILY_RATIONAL)
+    family = _check_family(family)
     a = _half_layout(line, c.m, c.n)[0]
     return continue_in_K(_orbit(np.full(c.n, 0.5 * a), c, 0.0, family, line), k)
 
@@ -541,14 +541,12 @@ def find_periodic_orbit(c: Convergent, k: float, line: str, family: Optional[str
 # --------------------------------------------------------------------------
 
 def _steps(orbit: PeriodicOrbit, k_target: float):
-    """The accepted steps of :func:`continue_in_K` from ``orbit`` to ``k_target``, in order."""
+    """The accepted steps of :func:`continue_in_K` from ``orbit`` up to
+    ``k_target >= orbit.K``, in order; continuation only climbs in K."""
     current = orbit
-    dk = min(_DK_MAX, abs(k_target - orbit.K))
+    dk = min(_DK_MAX, k_target - orbit.K)
     while current.K != k_target:
-        direction = 1.0 if k_target > current.K else -1.0
-        k_next = current.K + direction * dk
-        if (direction > 0 and k_next > k_target) or (direction < 0 and k_next < k_target):
-            k_next = k_target
+        k_next = min(current.K + dk, k_target)
         nxt = _continuation_step(current, k_next)
         if nxt is None:
             dk *= 0.5
@@ -565,33 +563,38 @@ def _steps(orbit: PeriodicOrbit, k_target: float):
 
 
 def continue_in_K(orbit: PeriodicOrbit, k_target: float) -> PeriodicOrbit:
-    """Natural-parameter continuation of an orbit to ``k_target``.
+    """Natural-parameter continuation of an orbit up to ``k_target``.
 
-    Each step is one Newton solve of the Euler-Lagrange equations at the
-    next K.  On the four symmetry lines it runs on the orbit's symmetric
-    half and starts from the tangent predictor x + dK t (J t = sin x at the
-    current K); the step is refused when the corrector lands further from
-    the predictor than the predictor is from x, which is how a switch to a
-    neighbouring orbit shows, and at the first Newton iterate beyond that
-    reach whose residual does not fall (:func:`_continuation_step`).  An
-    orbit on no symmetry line raises :class:`DomainError`.  The step
-    adapts: it grows by 1.6 after each accepted step up to ``_DK_MAX``,
-    halves whenever Newton fails or the guard refuses, and stops with
-    :class:`ContinuationError` (reporting the last good K) at the floor
-    1e-6, which signals an orbit collision or bifurcation.  :meth:`OrbitBranch.climb` yields the same steps one at a
-    time.  The fixed points (n = 1) and the 1/2 orbit (c, c + pi) on q=c do
-    not move with K and are returned in closed form.  The 1/2 orbit on
-    q=p/2+c has one unknown x = u_0 = q_0, the root of
+    Continuation runs upward only: a ``k_target`` below ``orbit.K`` raises
+    :class:`DomainError`, since past K*(n) a step down can land on another
+    orbit of the line (:class:`OrbitBranch` climbs from K = 0).  Each step
+    is one Newton solve of the Euler-Lagrange equations at the next K.  On
+    the four symmetry lines it runs on the orbit's symmetric half and starts
+    from the tangent predictor x + dK t (J t = sin x at the current K); the
+    step is refused when the corrector lands further from the predictor than
+    the predictor is from x, which is how a switch to a neighbouring orbit
+    shows, and at the first Newton iterate beyond that reach whose residual
+    does not fall (:func:`_continuation_step`).  An orbit on no symmetry
+    line raises :class:`DomainError`.  The step adapts: it grows by 1.6
+    after each accepted step up to ``_DK_MAX``, halves whenever Newton fails
+    or the guard refuses, and stops with :class:`ContinuationError`
+    (reporting the last good K) at the floor 1e-6, which signals an orbit
+    collision or bifurcation.  :meth:`OrbitBranch.climb` yields the same
+    steps one at a time.  The fixed points (n = 1) and the 1/2 orbit
+    (c, c + pi) on q=c do not move with K and are returned in closed form.
+    The 1/2 orbit on q=p/2+c has one unknown x = u_0 = q_0, the root of
     f(x) = 2a - 4x - K sin x with a = 2c + pi; it starts at x0 = a/2 at K = 0
     and stays between x0 and x0 - (pi/2) sin x0, where f' = -4 - K cos x < 0,
     so it is solved there by :func:`brentq` at any K, and the orbit has the
     deviations (x, a - x) at that root, with no Newton polish: the second
-    reduced angle nears 2 pi, where the
-    Euler-Lagrange residual cannot fall below K ulp(2 pi), which exceeds
-    Newton's tolerance above K of about 1100.  Family and line tags are
-    preserved.
+    reduced angle nears 2 pi, where the Euler-Lagrange residual cannot fall
+    below K ulp(2 pi), which exceeds Newton's tolerance above K of about
+    1100.  Family and line tags are preserved.
     """
     k_target = check_stochasticity(k_target)
+    if k_target < orbit.K:
+        raise DomainError(f"continuation runs upward only: target K={k_target:g} "
+                          f"is below the orbit's K={orbit.K:g}")
     if k_target == orbit.K:
         return orbit
     if orbit.n == 1 or (orbit.n == 2 and orbit.line in RATIONAL_LINES):

@@ -13,13 +13,13 @@ Config files are flat key-value text, one ``key = value`` per line with
 Any other key, a ``tol.`` key included, is refused with :class:`ConfigError`.
 
 Each (method, order/K) task is independent; failures are recorded per task
-in the manifest and never stop the remaining tasks.  Worker count comes
-from the KAMCRIT_THREADS environment variable (default 1), overridable per
-call, and is capped at the CPU count and the task count; the process pool
-(multiprocessing, sockets, subprocess) is imported only when a scan runs
-more than one worker.  Rows are sorted by key and written at 17
-significant digits through a staging file and an atomic rename, so
-identical configs reproduce byte-identical CSV bodies.
+in the manifest and never stop the remaining tasks.  The worker count is
+``run_scan``'s ``threads`` (default 1, at least 1), capped at the CPU count
+and the task count; the process pool (multiprocessing, sockets,
+subprocess) is imported only when a scan runs more than one worker.  Rows
+are sorted by key and written at 17 significant digits through a staging
+file and an atomic rename, so identical configs reproduce byte-identical
+CSV bodies.
 """
 
 from __future__ import annotations
@@ -223,16 +223,13 @@ def _fmt(x: float) -> str:
 
 
 def worker_count(override: Optional[int] = None) -> int:
-    """Effective worker count: explicit override, else KAMCRIT_THREADS, else 1,
-    capped at ``os.cpu_count()`` (``run_scan`` also caps it at the task count)."""
-    requested = override
-    env = os.environ.get("KAMCRIT_THREADS", "").strip()
-    if requested is None and env:
-        try:
-            requested = int(env)
-        except ValueError as err:
-            raise ConfigError(f"KAMCRIT_THREADS must be an integer, got {env!r}") from err
-    return max(1, min(int(requested or 1), os.cpu_count() or 1))
+    """Effective worker count: ``override``, default 1, capped at
+    ``os.cpu_count()`` (``run_scan`` also caps it at the task count).  A
+    count below 1 raises :class:`ConfigError`."""
+    requested = 1 if override is None else int(override)
+    if requested < 1:
+        raise ConfigError(f"worker count must be >= 1, got {requested}")
+    return min(requested, os.cpu_count() or 1)
 
 
 def _build_tasks(cfg: ScanConfig):
@@ -292,10 +289,10 @@ def run_scan(cfg: ScanConfig, threads: Optional[int] = None) -> RunManifest:
     recorded per task; remaining tasks still run.
     """
     cfg.validate()
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     tasks = _build_tasks(cfg)
     workers = min(worker_count(threads), len(tasks))
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     if workers > 1:
         # imported here, so a process that never runs a pool never loads multiprocessing

@@ -162,7 +162,7 @@ def test_criterion_5_variational():
         x0 = (rng.uniform(-math.pi, math.pi), rng.uniform(0, TWO_PI))
         k = rng.uniform(0.0, 5.0)
         traj = kc.trajectory_standard(x0, k, 60)
-        worst = max(worst, kc.euler_lagrange_residual(traj, kc.STANDARD_MAP, k).max())
+        worst = max(worst, kc.euler_lagrange_residual(traj, k).max())
     random_ok = worst <= 1e-10
 
     worst_orbit = 0.0
@@ -173,14 +173,14 @@ def test_criterion_5_variational():
             if traj.shape[0] >= 3:
                 worst_orbit = max(
                     worst_orbit,
-                    kc.euler_lagrange_residual(traj, kc.STANDARD_MAP, k).max(),
+                    kc.euler_lagrange_residual(traj, k).max(),
                 )
     orbit_ok = worst_orbit <= 1e-10
 
     k = 1.0
     traj = np.array(kc.trajectory_standard((0.37, 2.11), k, 50))
     traj[25, 0] += 1e-3
-    res = kc.euler_lagrange_residual(traj, kc.STANDARD_MAP, k)
+    res = kc.euler_lagrange_residual(traj, k)
     perturb_ok = res[23:26].max() >= 1e-4
 
     ok = random_ok and orbit_ok and perturb_ok

@@ -18,7 +18,6 @@ import pytest
 
 import kamcrit
 from kamcrit import OrbitBranch
-from kamcrit._kernels import batch_trajectory
 from kamcrit.cli import _parse_seeds, build_parser, main
 from kamcrit.errors import BracketingError
 from kamcrit.mapcore import wrap_angle, wrap_momentum
@@ -307,11 +306,26 @@ def test_portrait_explicit_seed_pairs(tmp_path):
         assert 0.0 <= float(p) < TWO_PI
 
 
+def _batch_trajectory(qs, ps, k, nsteps):
+    """Every seed's lifted path at once, numpy over the seeds."""
+    q = np.array(qs, dtype=float)
+    p = np.array(ps, dtype=float)
+    out = np.empty((q.shape[0], nsteps + 1, 2))
+    out[:, 0, 0] = q
+    out[:, 0, 1] = p
+    for i in range(nsteps):
+        p += k * np.sin(q)
+        q += p
+        out[:, i + 1, 0] = q
+        out[:, i + 1, 1] = p
+    return out
+
+
 def _portrait_reference(k, seeds, iters):
     """The CSV as first specified: numpy-scalar rows joined whole in memory."""
     qs = np.array([q for q, _ in seeds])
     ps = np.array([p for _, p in seeds])
-    paths = batch_trajectory(qs, ps, k, iters)
+    paths = _batch_trajectory(qs, ps, k, iters)
     lines = ["seed_id,iter,q,p"]
     for sid in range(paths.shape[0]):
         qt = wrap_angle(paths[sid, :, 0])
@@ -403,6 +417,7 @@ def test_portrait_rejects_bad_stochasticity(K, tmp_path, capsys):
 # exit codes: 1 for numeric failure, 2 for usage; at least one 2 per subcommand
 EXIT_CODES = [
     (["orbit", "--m", "1", "--n", "2", "--K", "nan"], 2),
+    (["orbit", "--m", "3", "--n", "5", "--K", "0.9", "--family", "alternate", "--line", "q=0"], 2),
     (["residue", "--m", "0", "--n", "1", "--K", "-1"], 2),
     (["kcrit-greene", "--depth", "0"], 2),
     (["kcrit-nch", "--depth", "1", "--k-grid", "1,2"], 2),
@@ -418,6 +433,8 @@ EXIT_CODES = [
     (["scan"], 2),
     (["scan", "--config", "{tmp}/fail.cfg"], 1),
     (["scan", "--config", "{tmp}/tol0.cfg"], 2),
+    (["scan", "--threads", "0", "--config", "{tmp}/fail.cfg"], 2),
+    (["scan", "--threads", "-3", "--config", "{tmp}/fail.cfg"], 2),
 ]
 
 

@@ -238,19 +238,14 @@ def test_greene_single_order_degenerate():
     assert "degenerate" in res.diagnostics["extrapolation"]
 
 
-def test_greene_fixed_point_sequence():
-    res = kc.greene_kcrit(convergents=[kc.Convergent(0, 1)])
-    assert abs(res.k_crit - 4.0) <= 1e-5
-
-
 def test_greene_partial_failures_recorded(monkeypatch):
-    # the fixed point destabilizes at 4, beyond this walk's ceiling; the
-    # 1/2 orbit (threshold 2) still succeeds and carries the estimate
-    monkeypatch.setattr(kc.stability, "_K_MAX", 2.6)
-    res = kc.greene_kcrit(convergents=[kc.Convergent(0, 1), kc.Convergent(1, 2)])
-    assert [n for n, _ in res.per_n] == [2]
-    assert abs(res.k_crit - 2.0) <= 1e-5
-    assert res.diagnostics["failures"][0]["n"] == 1
+    # the 1/2 orbit destabilizes at 2, beyond this walk's ceiling; the 2/3
+    # orbit (threshold 1.5175) still succeeds and carries the estimate
+    monkeypatch.setattr(kc.stability, "_K_MAX", 1.75)
+    res = kc.greene_kcrit(depth=2)
+    assert [n for n, _ in res.per_n] == [3]
+    assert abs(res.k_crit - 1.5175) <= 1e-4
+    assert [f["n"] for f in res.diagnostics["failures"]] == [2]
 
 
 def test_greene_records_closure_refusal(monkeypatch):

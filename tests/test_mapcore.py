@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import kamcrit as kc
 from kamcrit import _kernels
-from kamcrit.errors import DomainError, UnsupportedParameterError
-from kamcrit.mapcore import STANDARD_MAP, as_points_array
+from kamcrit.errors import DomainError
+from kamcrit.mapcore import as_points_array
 
 TWO_PI = 2 * math.pi
 
@@ -109,15 +109,9 @@ def test_lift_consistency():
 
 # --- Euler-Lagrange residual -------------------------------------------------
 
-def test_action_and_residual_reject_other_maps():
-    traj = kc.trajectory_standard((0.4, 1.3), 0.5, 4)
-    with pytest.raises(UnsupportedParameterError):
-        kc.euler_lagrange_residual(traj, "henon", 0.5)
-
-
 def test_el_residual_vanishes_on_trajectories():
     traj = kc.trajectory_standard((0.37, 2.11), 1.0, 50)
-    res = kc.euler_lagrange_residual(traj, STANDARD_MAP, 1.0)
+    res = kc.euler_lagrange_residual(traj, 1.0)
     assert res.shape == (49,)
     assert res.max() <= 1e-10
 
@@ -127,14 +121,14 @@ def test_el_residual_detects_perturbation():
     traj = kc.trajectory_standard((0.37, 2.11), k, 50)
     traj = np.array(traj)
     traj[25, 0] += 1e-3
-    res = kc.euler_lagrange_residual(traj, STANDARD_MAP, k)
+    res = kc.euler_lagrange_residual(traj, k)
     # residual indices 23..25 correspond to points 24..26
     assert res[23:26].max() >= 1e-4
 
 
 def test_el_residual_fixed_point():
     traj = [(math.pi, 0.0)] * 10
-    res = kc.euler_lagrange_residual(traj, STANDARD_MAP, 3.7)
+    res = kc.euler_lagrange_residual(traj, 3.7)
     assert res.max() <= 1e-12
 
 

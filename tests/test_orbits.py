@@ -669,6 +669,13 @@ def test_continue_zero_distance_identity():
     assert kc.continue_in_K(orb, 0.4) is orb
 
 
+def test_continue_refuses_a_lower_target():
+    # continuation only climbs: below an orbit past K*(n) the branch can switch
+    orb = kc.rational_orbit(kc.Convergent(2, 3), 0.4)
+    with pytest.raises(DomainError, match="upward only"):
+        kc.continue_in_K(orb, orb.K - 0.1)
+
+
 def test_continue_order5_to_transition():
     orb = kc.rational_orbit(kc.Convergent(3, 5), 0.0)
     moved = kc.continue_in_K(orb, 0.97)

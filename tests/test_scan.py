@@ -97,20 +97,22 @@ def test_validation_rules(tmp_path):
             parse_scan_config(_cfg_text(tmp_path / "o", methods="nch", grid=grid))
 
 
-def test_worker_count_env(monkeypatch, tmp_path):
+def test_worker_count(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.delenv("KAMCRIT_THREADS", raising=False)
     assert worker_count() == 1
-    monkeypatch.setenv("KAMCRIT_THREADS", "3")
-    assert worker_count() == 3
-    assert worker_count(2) == 2
+    assert worker_count(3) == 3
     # capped at the CPU count, and by run_scan at the task count
-    monkeypatch.setenv("KAMCRIT_THREADS", "4096")
-    assert worker_count() == 8
-    assert worker_count(100) == 8
+    assert worker_count(4096) == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert worker_count() == 1
+    assert worker_count(3) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for bad in (0, -3):
+        with pytest.raises(ConfigError, match=">= 1"):
+            worker_count(bad)
+    # a refused count is refused before the output directory is made
+    with pytest.raises(ConfigError):
+        run_scan(parse_scan_config(_cfg_text(tmp_path / "refused", depth=2)), threads=0)
+    assert not (tmp_path / "refused").exists()
 
     pools = []
 
@@ -130,13 +132,9 @@ def test_worker_count_env(monkeypatch, tmp_path):
             return map(fn, items)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-    manifest = run_scan(parse_scan_config(_cfg_text(tmp_path / "run", depth=2)))
+    manifest = run_scan(parse_scan_config(_cfg_text(tmp_path / "run", depth=2)), threads=100)
     assert manifest.ok == 2
     assert pools == [2]
-
-    monkeypatch.setenv("KAMCRIT_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        worker_count()
 
 
 def test_write_atomic_failure_leaves_no_file(tmp_path):
