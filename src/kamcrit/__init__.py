@@ -48,7 +48,6 @@ from .orbits import (
     fibonacci_convergents,
     find_periodic_orbit,
     rational_orbit,
-    refine_multishoot,
     refine_newton,
     winding_number,
 )

@@ -280,9 +280,10 @@ def nch_distance_curve(
 
 
 def check_k_grid(k_grid: Sequence[float]) -> List[float]:
-    """The distance criterion's K grid as floats: at least 5 points, strictly
-    increasing (:class:`DomainError` otherwise)."""
-    grid = [float(k) for k in k_grid]
+    """The distance criterion's K grid as floats: at least 5 points, each
+    finite and >= 0 (:func:`check_stochasticity`), strictly increasing
+    (:class:`DomainError` otherwise)."""
+    grid = [check_stochasticity(k) for k in k_grid]
     if len(grid) < 5:
         raise DomainError("K grid needs at least 5 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -69,7 +69,6 @@ LINE_Q0 = "q=0"
 LINE_QPI = "q=pi"
 LINE_DIAG = "q=p/2"
 LINE_DIAG_PI = "q=p/2+pi"
-LINE_NONE = "none"
 
 RATIONAL_LINES = (LINE_Q0, LINE_QPI)
 ALTERNATE_LINES = (LINE_DIAG, LINE_DIAG_PI)
@@ -263,25 +262,6 @@ def _thomas(diag: List[float], rhs: List[float]) -> List[float]:
     return x
 
 
-def _cyclic_thomas(diag: List[float], rhs: List[float]) -> List[float]:
-    """Solve the cyclic tridiagonal system with unit off-diagonals and corners:
-    Thomas with the corners folded into the diagonal, plus a Sherman-Morrison
-    correction.  For n <= 2 the neighbours coincide and the system is solved
-    directly."""
-    n = len(diag)
-    if n == 1:
-        return [rhs[0] / (diag[0] + 2.0)]
-    if n == 2:
-        det = diag[0] * diag[1] - 4.0
-        return [(diag[1] * rhs[0] - 2.0 * rhs[1]) / det, (diag[0] * rhs[1] - 2.0 * rhs[0]) / det]
-    gamma = -diag[0]
-    folded = [diag[0] - gamma] + diag[1:-1] + [diag[-1] - 1.0 / gamma]
-    y = _thomas(folded, rhs)
-    z = _thomas(folded, [gamma] + [0.0] * (n - 2) + [1.0])
-    f = (y[0] + y[-1] / gamma) / (1.0 + z[0] + z[-1] / gamma)
-    return [yi - f * zi for yi, zi in zip(y, z)]
-
-
 def _sup(v: np.ndarray) -> float:
     """Max norm, 0 for an empty vector."""
     return float(np.maximum.reduce(np.abs(v))) if v.size else 0.0
@@ -290,36 +270,6 @@ def _sup(v: np.ndarray) -> float:
 def _jacobian_diagonal(x: np.ndarray, phase: np.ndarray, k: float, fold) -> np.ndarray:
     """Diagonal -2 - K cos(x + phase) (+ the mirror terms ``fold``) of the Euler-Lagrange Jacobian."""
     return -2.0 - k * np.cos(x + phase) + fold
-
-
-def _newton(x: np.ndarray, residual, diagonal, solve, tol: float, max_iter: int, what,
-            reach: float = math.inf) -> np.ndarray:
-    """Newton on the Euler-Lagrange residual of the deviations ``x``; returns them converged.
-
-    ``residual(x)`` is the residual on the unknowns and ``diagonal(x)`` the
-    Jacobian diagonal, evaluated only before a solve; ``what()`` names the
-    orbit in an error.  Converged means max|E| <= ``tol``: the unknowns are
-    O(1) at every order, so one absolute tolerance serves them all.  Raises
-    :class:`RefinementError` on a singular Jacobian, after ``max_iter``
-    iterations, and at the first iterate whose residual is not below the
-    previous one while it lies further than ``reach`` from the start in max
-    norm.  A continuation step passes its guard's reach, so a corrector
-    leaving the branch is refused at once instead of at the iteration cap.
-    """
-    start, history = x, []
-    for _ in range(max_iter):
-        e = residual(x)
-        err = _sup(e)
-        history.append(err)
-        if err <= tol:
-            return x
-        if len(history) > 1 and err >= history[-2] and _sup(x - start) > reach:
-            raise RefinementError(f"Euler-Lagrange Newton diverging for {what()}", history=history)
-        try:
-            x = x - np.array(solve(diagonal(x).tolist(), e.tolist()))
-        except ZeroDivisionError as exc:
-            raise RefinementError(f"singular Euler-Lagrange Jacobian for {what()}", history=history) from exc
-    raise RefinementError(f"Euler-Lagrange Newton did not converge for {what()}", history=history)
 
 
 def _orbit(u: np.ndarray, c: Convergent, k: float, family: str, line: str) -> PeriodicOrbit:
@@ -331,31 +281,7 @@ def _orbit(u: np.ndarray, c: Convergent, k: float, family: str, line: str) -> Pe
     return PeriodicOrbit(d, c, k, family, line, _step_defect(d, _phase(c.m, c.n), k))
 
 
-def refine_multishoot(orbit: PeriodicOrbit, tol: float = 1e-12, max_iter: int = 40) -> PeriodicOrbit:
-    """Newton on the full periodic Euler-Lagrange system in the angles alone.
-
-    All n deviations u_i are unknowns and the momenta are rebuilt as
-    u_i - u_{i-1}.  Each step solves the cyclic tridiagonal Jacobian in
-    O(n) (Thomas plus Sherman-Morrison).  The defects are local, so the
-    accuracy stays at machine precision however strongly the n-fold
-    composition expands; but with no symmetry imposed the Jacobian nears
-    singularity with the residue (det = -4R), so symmetric orbits are solved
-    on their half instead.  An orbit already within ``tol`` comes back with
-    its measured defect as ``closure_error``.
-    """
-    k, phase = orbit.K, _phase(orbit.m, orbit.n)
-    err = _step_defect(orbit.deviations, phase, k)
-    if err <= tol:
-        return replace(orbit, closure_error=err)
-
-    def residual(u):
-        return _el_residual(np.concatenate(([u[-1]], u, [u[0]])), u, k, phase)
-
-    u = _newton(np.array(orbit.deviations[:, 0]), residual, lambda u: _jacobian_diagonal(u, phase, k, 0.0),
-                _cyclic_thomas, tol, max_iter, lambda: f"{orbit.convergent} at K={k:g}")
-    return _orbit(u, orbit.convergent, k, orbit.family, orbit.line)
-
-
+@functools.lru_cache(maxsize=16)
 def _half_layout(line: str, m: int, n: int) -> Tuple[float, int, int, bool, np.ndarray, np.ndarray]:
     """(a, first, h, pinned, fold, phase) of the symmetric half of an (m, n) orbit on ``line``.
 
@@ -367,7 +293,8 @@ def _half_layout(line: str, m: int, n: int) -> Tuple[float, int, int, bool, np.n
     q=p/2+c the unknowns are u_0 ... u_{n//2-1}, u_{-1} = a - u_0 mirrors
     into the first diagonal, an odd n pins u_{(n-1)/2} = a/2, and an even n
     mirrors the last one.  ``fold`` holds those mirror terms of the Jacobian
-    diagonal and ``phase`` the unknowns' reduced circle angles.
+    diagonal and ``phase`` the unknowns' reduced circle angles (both
+    read-only, shared by every orbit of m/n on ``line``).
     """
     if line not in _LINE_OFFSET:
         raise DomainError(f"unknown symmetry line {line!r}")
@@ -381,32 +308,49 @@ def _half_layout(line: str, m: int, n: int) -> Tuple[float, int, int, bool, np.n
         fold[0] -= 1.0
     if h and not pinned:
         fold[-1] -= 1.0
+    fold.flags.writeable = False
     return a, first, h, pinned, fold, _phase(m, n)[first:first + h]
 
 
 def _solve_symmetric(guess: PeriodicOrbit, k: float, tol: float = 1e-12, max_iter: int = 12,
-                     x0: Optional[np.ndarray] = None, layout: Optional[tuple] = None,
-                     reach: float = math.inf) -> PeriodicOrbit:
+                     x0: Optional[np.ndarray] = None, reach: float = math.inf) -> PeriodicOrbit:
     """Newton on the symmetric half of ``guess``'s orbit at stochasticity ``k``,
-    started from the unknowns ``x0`` (by default ``guess``'s own deviations);
-    ``layout`` is ``guess``'s :func:`_half_layout` when the caller has it,
-    and ``reach`` is :func:`_newton`'s bound on a diverging iterate.
+    started from the unknowns ``x0`` (by default ``guess``'s own deviations).
+
     The residual is taken on the h unknowns alone, between neighbours that
-    are the line's a/2 or a mirror a - x; the n deviations are built once,
-    at convergence."""
-    a, first, h, pinned, fold, phase = layout or _half_layout(guess.line, guess.m, guess.n)
-    b = np.empty(h + 2)
-
-    def residual(x):
-        b[0] = 0.5 * a if first else a - x[0]
-        b[1:-1] = x
-        b[-1] = 0.5 * a if pinned else a - x[-1]
-        return _el_residual(b, x, k, phase)
-
+    are the line's a/2 or a mirror a - x, and each step is one Thomas pass
+    on the tridiagonal Jacobian; the n deviations are built once, at
+    convergence.  Converged means max|E| <= ``tol``: the unknowns are O(1)
+    at every order, so one absolute tolerance serves them all.  Raises
+    :class:`RefinementError` on a singular Jacobian, after ``max_iter``
+    iterations, and at the first iterate whose residual is not below the
+    previous one while it lies further than ``reach`` from the start in max
+    norm.  A continuation step passes its guard's reach, so a corrector
+    leaving the branch is refused at once instead of at the iteration cap.
+    An orbit on no symmetry line raises :class:`DomainError`.
+    """
+    a, first, h, pinned, fold, phase = _half_layout(guess.line, guess.m, guess.n)
     x = np.array(guess.deviations[first:first + h, 0]) if x0 is None else x0
     if h:  # otherwise (n = 1, or n = 2 on q=0 or q=pi) the line fixes the orbit
-        x = _newton(x, residual, lambda x: _jacobian_diagonal(x, phase, k, fold), _thomas, tol, max_iter,
-                    lambda: f"{guess.convergent} on {guess.line} at K={k:g}", reach)
+        start, history, b = x, [], np.empty(h + 2)
+        what = lambda: f"{guess.convergent} on {guess.line} at K={k:g}"
+        for _ in range(max_iter):
+            b[0] = 0.5 * a if first else a - x[0]
+            b[1:-1] = x
+            b[-1] = 0.5 * a if pinned else a - x[-1]
+            e = _el_residual(b, x, k, phase)
+            err = _sup(e)
+            history.append(err)
+            if err <= tol:
+                break
+            if len(history) > 1 and err >= history[-2] and _sup(x - start) > reach:
+                raise RefinementError(f"Euler-Lagrange Newton diverging for {what()}", history=history)
+            try:
+                x = x - np.array(_thomas(_jacobian_diagonal(x, phase, k, fold).tolist(), e.tolist()))
+            except ZeroDivisionError as exc:
+                raise RefinementError(f"singular Euler-Lagrange Jacobian for {what()}", history=history) from exc
+        else:
+            raise RefinementError(f"Euler-Lagrange Newton did not converge for {what()}", history=history)
     u = np.concatenate(([0.5 * a] * first, x, [0.5 * a] * pinned, (a - x)[::-1]))
     return _orbit(u, guess.convergent, k, guess.family, guess.line)
 
@@ -427,7 +371,7 @@ def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]
     :class:`DomainError`.
     """
     try:
-        _, first, h, _, fold, phase = layout = _half_layout(prev.line, prev.m, prev.n)
+        _, first, h, _, fold, phase = _half_layout(prev.line, prev.m, prev.n)
         x = prev.deviations[first:first + h, 0]  # empty (h = 0) for n = 2 on q=0 or q=pi
         t = prev._tangent
         if t is None:
@@ -435,7 +379,7 @@ def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]
                                                  np.sin(x + phase).tolist())) if h else x
         x_pred = x + (k - prev.K) * t
         reach = _GUARD_RATIO * _sup(x_pred - x)
-        nxt = _solve_symmetric(prev, k, x0=x_pred, layout=layout, reach=reach)
+        nxt = _solve_symmetric(prev, k, x0=x_pred, reach=reach)
     except (RefinementError, ZeroDivisionError):
         return None
     x_new = nxt.deviations[first:first + h, 0]
@@ -443,19 +387,22 @@ def _continuation_step(prev: PeriodicOrbit, k: float) -> Optional[PeriodicOrbit]
 
 
 def refine_newton(orbit: PeriodicOrbit, tol: float = 1e-11, max_iter: int = 30) -> PeriodicOrbit:
-    """Polish an orbit by Newton on the Euler-Lagrange equations.
+    """Polish an orbit on its symmetry line by Newton on its symmetric half.
 
-    Returns the orbit unchanged when its closure already meets ``tol``.
-    Orbits on a symmetry line are solved on their symmetric half, others
-    (``LINE_NONE``) on the full cyclic system of :func:`refine_multishoot`.
-    Raises :class:`RefinementError` on a singular Jacobian or when Newton
-    does not converge within ``max_iter`` iterations.
+    Returns the orbit unchanged when its closure already meets ``tol``;
+    otherwise :func:`_solve_symmetric` solves it to ``tol`` with no reach
+    bound, so only a singular Jacobian or ``max_iter`` iterations without
+    convergence raise :class:`RefinementError`.  An orbit on no symmetry
+    line raises :class:`DomainError`.
     """
     if _step_defect(orbit.deviations, _phase(orbit.m, orbit.n), orbit.K) <= tol:
         return orbit
-    if orbit.line == LINE_NONE:
-        return refine_multishoot(orbit, tol, max_iter)
     return _solve_symmetric(orbit, orbit.K, tol, max_iter)
+
+
+def refine_multishoot(orbit: PeriodicOrbit, **kw) -> PeriodicOrbit:
+    """Old name of :func:`refine_newton`; the benchmark's tracer still lists it."""
+    return refine_newton(orbit, **kw)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,10 @@ Config files are flat key-value text, one ``key = value`` per line with
     output_dir = out/run1        # relative paths resolve against the
                                  # config file's directory
 
-Any other key, a ``tol.`` key included, is refused with :class:`ConfigError`.
+Any other key, a ``tol.`` key included, is refused with :class:`ConfigError`,
+and so is a grid that a task would fail on: a value that is not finite, an
+``nch`` grid that :func:`~kamcrit.criteria.check_k_grid` refuses, or a
+``chirikov`` K <= 0.
 
 Each (method, order/K) task is independent; failures are recorded per task
 in the manifest and never stop the remaining tasks.  The worker count is
@@ -64,6 +67,11 @@ class ScanConfig:
             raise ConfigError("duplicate methods in config")
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        for k in self.k_grid:
+            if not math.isfinite(k):
+                raise ConfigError(f"k_grid values must be finite, got {k!r}")
+            if k <= 0.0 and "chirikov" in self.methods:
+                raise ConfigError(f"k_grid values must be > 0 for chirikov, got {k!r}")
         if any(b <= a for a, b in zip(self.k_grid, self.k_grid[1:])):
             raise ConfigError("k_grid must be strictly increasing")
         needs_grid = {"nch", "chirikov"} & set(self.methods)

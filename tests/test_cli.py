@@ -214,6 +214,7 @@ def test_kcrit_nch_failure_leaves_no_partial_file(tmp_path, capsys):
     (1, "", "K grid needs at least 5 points"),
     (1, "0.9,0.8,1.0,1.1,1.2", "K grid must be strictly increasing"),
     (0, "0.80:0.02:1.10", "depth must be >= 1, got 0"),
+    (1, "0.8,0.9,1.0,1.1,nan", "stochasticity parameter must be finite, got nan"),
 ])
 def test_kcrit_nch_checks_its_grid_before_greene(depth, grid, message, monkeypatch, capsys):
     def no_greene(**kw):
@@ -435,6 +436,7 @@ EXIT_CODES = [
     (["scan", "--config", "{tmp}/tol0.cfg"], 2),
     (["scan", "--threads", "0", "--config", "{tmp}/fail.cfg"], 2),
     (["scan", "--threads", "-3", "--config", "{tmp}/fail.cfg"], 2),
+    (["scan", "--config", "{tmp}/nan.cfg"], 2),
 ]
 
 
@@ -446,6 +448,9 @@ def test_exit_code_table(argv, code, tmp_path, capsys):
     # K*'s resolution is fixed, so a tol. key is an unknown key
     (tmp_path / "tol0.cfg").write_text(
         f"methods = greene\ndepth = 1\ntol.k_star = 0\noutput_dir = {tmp_path / 'run'}\n")
+    # 3 of this scan's 7 tasks would fail on its nan, so it is refused before any runs
+    (tmp_path / "nan.cfg").write_text(
+        f"methods = chirikov, nch\ndepth = 2\nk_grid = 0.8,0.9,1.0,1.1,nan\noutput_dir = {tmp_path / 'run'}\n")
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     if code == 2:
         assert "error:" in capsys.readouterr().err

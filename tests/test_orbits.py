@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 import kamcrit as kc
 from kamcrit.errors import ContinuationError, DomainError, RefinementError
-from kamcrit.orbits import closure_residual, refine_multishoot
+from kamcrit.orbits import closure_residual
 
 TWO_PI = 2 * math.pi
 
@@ -124,7 +124,7 @@ def test_find_periodic_orbit_rejects_unknown_family_and_line():
     with pytest.raises(DomainError):
         kc.find_periodic_orbit(kc.Convergent(2, 3), 0.5, kc.LINE_QPI, family="bogus")
     with pytest.raises(DomainError):
-        kc.find_periodic_orbit(kc.Convergent(2, 3), 0.5, kc.orbits.LINE_NONE)
+        kc.find_periodic_orbit(kc.Convergent(2, 3), 0.5, "none")
     alt = kc.find_periodic_orbit(kc.Convergent(2, 3), 0.5, kc.LINE_DIAG, family=kc.FAMILY_ALTERNATE)
     assert alt.family == kc.FAMILY_ALTERNATE
 
@@ -185,38 +185,6 @@ def test_refine_k0_seed_is_exact():
     orb = kc.find_periodic_orbit(kc.Convergent(3, 5), 0.0, kc.LINE_Q0)
     assert orb.closure_error <= 1e-12
     assert kc.refine_newton(orb) is orb
-
-
-def test_refine_multishoot_matches_newton():
-    orb = kc.find_periodic_orbit(kc.Convergent(3, 5), 0.9, kc.LINE_Q0)
-    rough = replace(orb, deviations=orb.deviations + 1e-6, closure_error=1.0)
-    fixed = refine_multishoot(rough)
-    np.testing.assert_allclose(fixed.points, orb.points, atol=1e-9)
-    assert fixed.closure_error <= 1e-12
-
-
-def test_refine_multishoot_measures_closed_input():
-    # the period-2 orbit (0, pi), (pi, pi) is exact at every K; it is the K = 0
-    # circle itself, so its deviations vanish.  Wrapped as an unmeasured shell
-    # it must come back with its measured defect, not the shell's inf
-    shell = kc.PeriodicOrbit(deviations=np.zeros((2, 2)), convergent=kc.Convergent(1, 2), K=0.7,
-                             family=kc.FAMILY_RATIONAL, line=kc.LINE_Q0, closure_error=math.inf)
-    fixed = refine_multishoot(shell)
-    np.testing.assert_array_equal(fixed.deviations, shell.deviations)
-    np.testing.assert_array_equal(fixed.points, [[0.0, math.pi], [math.pi, math.pi]])
-    assert fixed.closure_error <= 1e-12
-
-
-def test_refine_multishoot_recovers_deep_orbit():
-    # 1e-6 noise on every coordinate of the 377-point orbit; at R ~ 0.13 the
-    # cyclic Jacobian is well conditioned and Newton returns to the orbit
-    orb = kc.rational_orbit(kc.Convergent(233, 377), 0.97)
-    rng = np.random.default_rng(0)
-    rough = replace(orb, deviations=orb.deviations + 1e-6 * rng.standard_normal(orb.deviations.shape),
-                    line=kc.orbits.LINE_NONE, closure_error=1.0)
-    fixed = refine_multishoot(rough)
-    assert fixed.closure_error <= 1e-11
-    np.testing.assert_allclose(fixed.points, orb.points, rtol=0, atol=1e-8)
 
 
 # --- symmetric-half Newton --------------------------------------------------------
@@ -370,21 +338,6 @@ def _ref_refine_newton(orbit, tol=1e-11, max_iter=30):
     return _ref_solve_symmetric(orbit, orbit.K, tol, max_iter)
 
 
-def _ref_multishoot(orbit, tol=1e-12, max_iter=40):
-    m, k = orbit.m, orbit.K
-    err = _ref_step_defect(orbit.deviations, m, k)
-    if err <= tol:
-        return replace(orbit, closure_error=err)
-    phase = _ref_phase(m, orbit.n)
-
-    def assemble(u):
-        return u, _ref_el_residual(u, m, k), -2.0 - k * np.cos(u + phase)
-
-    u0 = np.array(orbit.deviations[:, 0], dtype=float)
-    return _ref_orbit_from_deviations(_ref_newton(u0, assemble, kc.orbits._cyclic_thomas, tol, max_iter),
-                                      orbit, k)
-
-
 def _outcome(solve, orbit):
     """(deviations bytes, closure_error, ...) of ``solve(orbit)``, or None when it is refused."""
     try:
@@ -425,15 +378,15 @@ def test_refinement_of_fixed_points_and_free_orbits_is_bit_identical():
         orb = kc.find_periodic_orbit(kc.Convergent(0, 1), 0.7, line)
         rough = replace(orb, deviations=orb.deviations + 1e-3)
         assert _outcome(kc.refine_newton, rough) == _outcome(_ref_refine_newton, rough)
-        assert _outcome(refine_multishoot, rough) == _outcome(_ref_multishoot, rough)
-    # the full cyclic system of an orbit tied to no line
-    rng = np.random.default_rng(3)
-    for c in _BIT_ORDERS:
-        orb = kc.rational_orbit(c, 0.9)
-        rough = replace(orb, deviations=orb.deviations + 1e-7 * rng.standard_normal(orb.deviations.shape),
-                        line=kc.orbits.LINE_NONE)
-        got = _outcome(refine_multishoot, rough)
-        assert got is not None and got == _outcome(_ref_multishoot, rough)
+
+
+def test_half_layout_is_decided_once_and_read_only():
+    # every orbit of m/n on a line shares one layout, so no solve may write to its arrays
+    layout = kc.orbits._half_layout(kc.LINE_DIAG, 5, 8)
+    assert kc.orbits._half_layout(kc.LINE_DIAG, 5, 8) is layout
+    fold, phase = layout[4], layout[5]
+    assert not fold.flags.writeable and not phase.flags.writeable
+    np.testing.assert_array_equal(fold, [-1.0, 0.0, 0.0, -1.0])
 
 
 def _thomas_two_pass(diag, rhs):
@@ -479,7 +432,7 @@ def test_tangent_is_solved_once_per_orbit(monkeypatch):
     real = kc.orbits._thomas
 
     def counting(diag, rhs):
-        # Newton solves come from _newton; the tangent predictor solves in the step itself
+        # Newton solves come from _solve_symmetric; the tangent predictor solves in the step itself
         if sys._getframe(1).f_code.co_name == "_continuation_step":
             tangents.append(len(diag))
         return real(diag, rhs)
@@ -696,9 +649,12 @@ def test_continuation_stall_reports_last_good_k(monkeypatch):
 
 
 def test_continuation_refuses_an_orbit_on_no_line():
-    orb = replace(kc.rational_orbit(kc.Convergent(3, 5), 0.5), line=kc.orbits.LINE_NONE)
+    orb = replace(kc.rational_orbit(kc.Convergent(3, 5), 0.5), line="none")
     with pytest.raises(DomainError, match="unknown symmetry line"):
         kc.continue_in_K(orb, 0.6)
+    # nor is such an orbit polished: there is no full cyclic Newton
+    with pytest.raises(DomainError, match="unknown symmetry line"):
+        kc.refine_newton(replace(orb, K=0.6))
 
 
 def test_branch_cache_tie_continues_from_lower_k():

@@ -95,6 +95,11 @@ def test_validation_rules(tmp_path):
     for grid in ("0.5,0.7,0.9", "0.5,0.7,0.9,1.1"):  # criteria.check_k_grid's rule: 5 points
         with pytest.raises(ConfigError, match="at least 5 points"):
             parse_scan_config(_cfg_text(tmp_path / "o", methods="nch", grid=grid))
+    # grids that a task would fail on are refused before any work
+    for methods, grid in (("nch", "0.8,0.9,1.0,1.1,nan"), ("nch", "0.8,0.9,1.0,1.1,inf"),
+                          ("nch", "-0.1,0.8,0.9,1.0,1.1"), ("chirikov", "0,0.04")):
+        with pytest.raises(ConfigError, match="k_grid"):
+            parse_scan_config(_cfg_text(tmp_path / "o", methods=methods, grid=grid))
 
 
 def test_worker_count(monkeypatch, tmp_path):

@@ -63,7 +63,7 @@ def test_trace_invariant_under_cyclic_start():
         rolled = kc.PeriodicOrbit(
             deviations=np.roll(orb.deviations, -shift, axis=0) + [TWO_PI * orb.m * shift / orb.n, 0.0],
             convergent=orb.convergent, K=orb.K, family=orb.family,
-            line=kc.orbits.LINE_NONE, closure_error=orb.closure_error,
+            line="none", closure_error=orb.closure_error,
         )
         assert abs(kc.monodromy(rolled).trace - base) < 1e-10
 
